@@ -126,20 +126,15 @@ std::string writeProgram(int Reps) {
 /// (median-free mean over \p Iters runs after one warmup, which also pays
 /// the one-time bytecode lowering so it is not billed to either engine).
 double hostSimNs(Pipeline &P, const CompileResult &CR, ExecEngine Engine,
-                 int Iters, bool Fuse = true, RunResult *Last = nullptr,
-                 BcDispatch Dispatch = defaultDispatch()) {
+                 int Iters) {
   MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
   MC.Engine = Engine;
-  MC.Fuse = Fuse;
-  MC.Dispatch = Dispatch;
   RunResult Warm = P.run(CR, MC);
   if (!Warm.OK) {
     std::fprintf(stderr, "host-time benchmark failed: %s\n",
                  Warm.Error.c_str());
     return -1.0;
   }
-  if (Last)
-    *Last = Warm;
   auto T0 = std::chrono::steady_clock::now();
   for (int I = 0; I != Iters; ++I)
     P.run(CR, MC);
@@ -328,39 +323,13 @@ int main(int argc, char **argv) {
   Pipeline SimP(workloadOptions(RunMode::Optimized));
   CompileResult SimCR = SimP.compile(findWorkload("health")->Source);
   double AstNs = hostSimNs(SimP, SimCR, ExecEngine::AST, SimIters);
-  RunResult FusedRun;
-  double BcNs =
-      hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters, true, &FusedRun);
-  double BcPlainNs =
-      hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters, false);
-  // Dispatch axis: the same fused bytecode run under the portable switch
-  // loop. BcNs above used the build default (computed goto where the build
-  // carries it), so on a GCC/Clang build the pair isolates the dispatch
-  // strategy alone.
-  double BcSwitchNs = hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters,
-                                true, nullptr, BcDispatch::Switch);
-  double DispatchSpeedup =
-      (BcSwitchNs > 0 && BcNs > 0) ? BcSwitchNs / BcNs : 0.0;
+  double BcNs = hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters);
   double Speedup = (AstNs > 0 && BcNs > 0) ? AstNs / BcNs : 0.0;
   std::printf("\nHost simulation time (health, optimized, 4 nodes, "
               "mean of %d runs):\n"
               "  ast               %10.1f ms\n"
-              "  bytecode          %10.1f ms   (%.2fx speedup)\n"
-              "  bytecode --fuse=off %8.1f ms\n"
-              "  fused dispatches %llu covering %llu steps "
-              "(%.1f%% of %llu total)\n",
-              SimIters, AstNs / 1e6, BcNs / 1e6, Speedup, BcPlainNs / 1e6,
-              (unsigned long long)FusedRun.FusedDispatches,
-              (unsigned long long)FusedRun.FusedSteps,
-              FusedRun.StepsExecuted
-                  ? 100.0 * FusedRun.FusedSteps / FusedRun.StepsExecuted
-                  : 0.0,
-              (unsigned long long)FusedRun.StepsExecuted);
-  std::printf("\nBytecode dispatch strategy (same run, fused stream):\n"
-              "  %-17s %10.1f ms\n"
-              "  switch loop       %10.1f ms   (default is %.2fx vs switch)\n",
-              computedGotoAvailable() ? "computed goto" : "switch (default)",
-              BcNs / 1e6, BcSwitchNs / 1e6, DispatchSpeedup);
+              "  bytecode          %10.1f ms   (%.2fx speedup)\n",
+              SimIters, AstNs / 1e6, BcNs / 1e6, Speedup);
 
   // Parallel lowering: host time of the lower stage itself, serial vs all
   // hardware threads (identical output — the determinism test pins it).
@@ -585,22 +554,8 @@ int main(int argc, char **argv) {
                   "  \"host_sim_ns\": {\"workload\": \"health\", "
                   "\"mode\": \"optimized\", \"nodes\": 4, "
                   "\"ast\": %.0f, \"bytecode\": %.0f, "
-                  "\"bytecode_unfused\": %.0f, \"bytecode_switch\": %.0f, "
                   "\"speedup\": %.2f},\n",
-                  AstNs, BcNs, BcPlainNs, BcSwitchNs, Speedup);
-    Out << Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  \"dispatch\": {\"computed_goto\": %s, "
-                  "\"default_vs_switch_speedup\": %.2f},\n",
-                  computedGotoAvailable() ? "true" : "false",
-                  DispatchSpeedup);
-    Out << Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  \"fused\": {\"dispatches\": %llu, \"steps\": %llu, "
-                  "\"total_steps\": %llu},\n",
-                  (unsigned long long)FusedRun.FusedDispatches,
-                  (unsigned long long)FusedRun.FusedSteps,
-                  (unsigned long long)FusedRun.StepsExecuted);
+                  AstNs, BcNs, Speedup);
     Out << Buf;
     // parallel_exercised is the honesty bit: on a single-hardware-thread
     // host the "parallel" figure is serial work plus pool dispatch

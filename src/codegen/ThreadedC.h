@@ -25,9 +25,7 @@
 /// targets, and sync-slot numbering, frame-slot layout, and dead-label
 /// facts come from the shared backend view (interp/BackendView.h). The
 /// bytecode is therefore the single source of truth for slot numbering —
-/// the engines and every backend agree by construction. Only the plain
-/// (unfused) stream is read, so `--fuse=on|off` cannot change the emitted
-/// program (pinned by the codegen tests).
+/// the engines and every backend agree by construction.
 ///
 /// The earthcc execution path interprets the same bytecode on the simulator
 /// (see DESIGN.md), so this emitter is a faithful *presentation* of Phase
@@ -52,7 +50,7 @@ struct ThreadedCInfo {
 };
 
 /// Emits Threaded-C for one lowered function. \p Info (optional) receives
-/// counts. Reads only \p BF's plain (unfused) instruction stream.
+/// counts.
 std::string emitThreadedC(const BytecodeModule &BM, const BytecodeFunction &BF,
                           ThreadedCInfo *Info = nullptr);
 

@@ -34,8 +34,6 @@
 /// with a canonical serialization (the CompileService's cache key).
 /// compile() and run() accept requests directly; the PipelineOptions /
 /// MachineConfig overloads remain for callers that wire knobs by hand.
-/// The last legacy free function (compileAndRun) lives in Driver.h as a
-/// documented deprecated shim.
 ///
 //===----------------------------------------------------------------------===//
 

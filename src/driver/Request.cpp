@@ -104,11 +104,10 @@ std::string CompileRequest::keyHex() const { return keyBytesToHex(key()); }
 
 RunRequest::RunRequest() {
   // Mirror MachineConfig's defaults field by field (including the
-  // EARTHCC_FUSE-derived fuse default), so the two surfaces cannot drift.
+  // EARTHCC_TOPOLOGY-derived topology default), so the two surfaces cannot
+  // drift.
   MachineConfig MC;
   Engine = MC.Engine;
-  Fuse = MC.Fuse;
-  Dispatch = MC.Dispatch;
   AllowNullReads = MC.AllowNullReads;
   MaxSteps = MC.MaxSteps;
   EUQuantum = MC.EUQuantum;
@@ -125,8 +124,6 @@ MachineConfig RunRequest::machine() const {
   MC.NumNodes = Sequential ? 1 : Nodes;
   MC.Costs = Costs;
   MC.Engine = Engine;
-  MC.Fuse = Fuse;
-  MC.Dispatch = Dispatch;
   MC.SequentialMode = Sequential;
   MC.AllowNullReads = AllowNullReads;
   MC.MaxSteps = MaxSteps;
@@ -142,7 +139,7 @@ MachineConfig RunRequest::machine() const {
 }
 
 std::string RunRequest::keyBytes() const {
-  KeyWriter W("earthcc-run-v2"); // v2: topology/distribution/net params
+  KeyWriter W("earthcc-run-v3"); // v3: fuse flag dropped
   W.text("entry", Entry);
   W.integer("args", Args.size());
   for (const RtValue &A : Args) {
@@ -163,24 +160,18 @@ std::string RunRequest::keyBytes() const {
   }
   W.integer("nodes", Sequential ? 1 : Nodes);
   W.boolean("sequential", Sequential);
-  // Topology and distribution are keyed because — unlike engine, fuse, and
-  // dispatch — they change the *simulated* results: contention reorders
-  // completion times and the distribution moves data between owners. The
-  // network parameters ride along for the same reason (they only matter on
-  // non-ideal topologies, but keying them unconditionally keeps the schema
-  // a pure function of the fields).
+  // Topology and distribution are keyed because — unlike the engine — they
+  // change the *simulated* results: contention reorders completion times
+  // and the distribution moves data between owners. The network parameters
+  // ride along for the same reason (they only matter on non-ideal
+  // topologies, but keying them unconditionally keeps the schema a pure
+  // function of the fields).
   W.text("topology", topologyName(Topo));
   W.text("distribution", distributionName(Dist));
   W.real("net-hop", NetHopNs);
   W.real("net-link-word", NetLinkWordNs);
   W.integer("dist-block", DistBlockSize);
   W.integer("engine", static_cast<uint64_t>(Engine));
-  W.boolean("fuse", Fuse);
-  // Dispatch is intentionally absent: unlike Engine/Fuse (keyed
-  // conservatively as part of the artifact's identity), the dispatch loop
-  // is a pure host-speed knob on the same bytecode stream — keying it would
-  // split the cache between portable and computed-goto builds of the same
-  // service fleet.
   W.boolean("null-reads", AllowNullReads);
   W.integer("max-steps", MaxSteps);
   W.integer("quantum", EUQuantum);
@@ -340,28 +331,6 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
            return true;
          }
          Err = "unknown engine '" + V + "' (ast|bytecode)";
-         return false;
-       }},
-      {"fuse", "on|off", "EARTHCC_FUSE",
-       "superinstruction fusion in the bytecode engine (default on)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         return parseOnOff(V, R.Fuse) ? true : badOnOff("fuse", V, Err);
-       }},
-      {"dispatch", "goto|switch", "EARTHCC_DISPATCH",
-       "bytecode inner-loop dispatch (default goto where the build has "
-       "computed goto; identical simulated results)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         if (V == "goto") {
-           R.Dispatch = BcDispatch::ComputedGoto;
-           return true;
-         }
-         if (V == "switch") {
-           R.Dispatch = BcDispatch::Switch;
-           return true;
-         }
-         Err = "unknown dispatch '" + V + "' (goto|switch)";
          return false;
        }},
       {"lower-threads", "N", nullptr,

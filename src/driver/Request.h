@@ -8,10 +8,9 @@
 /// \file
 /// The redesigned request surface of the driver. Historically the knobs
 /// accreted across three places — PipelineOptions (inheriting the flat
-/// CommOptions), MachineConfig, and ad-hoc environment overrides like
-/// EARTHCC_FUSE — and every entry point (CLI, benches, tests, observers)
-/// wired them by hand. This file collapses that surface into two plain
-/// value types:
+/// CommOptions), MachineConfig, and ad-hoc environment overrides — and
+/// every entry point (CLI, benches, tests, observers) wired them by hand.
+/// This file collapses that surface into two plain value types:
 ///
 ///  - CompileRequest: everything that determines the compiled artifact
 ///    (source text + phase toggles + communication-selection policy).
@@ -79,8 +78,8 @@ struct CompileRequest {
 };
 
 /// Everything that determines one simulated execution of a compiled
-/// module. Defaults mirror MachineConfig (engine, fuse — including the
-/// EARTHCC_FUSE environment default — fuel, quantum, cost model), with
+/// module. Defaults mirror MachineConfig (engine, topology — including the
+/// EARTHCC_TOPOLOGY environment default — fuel, quantum, cost model), with
 /// Nodes defaulting to the CLI's historical 4.
 struct RunRequest {
   std::string Entry = "main";
@@ -88,23 +87,14 @@ struct RunRequest {
   unsigned Nodes = 4;         ///< Simulated machine size.
   bool Sequential = false;    ///< Sequential-C baseline (forces 1 node).
   ExecEngine Engine;          ///< Execution engine (default: bytecode).
-  bool Fuse;                  ///< Superinstruction fusion (host knob, but
-                              ///< keyed: see keyBytes()).
-  /// Bytecode inner-loop dispatch (computed goto vs portable switch).
-  /// Host wall-clock knob with bit-identical results — same contract as
-  /// LowerThreads/PassThreads — so it is excluded from keyBytes(): the
-  /// dispatch loop must never change which cached result a request maps
-  /// to, and a request served on a portable build and a computed-goto
-  /// build hits the same cache line.
-  BcDispatch Dispatch;
   bool AllowNullReads;
   uint64_t MaxSteps;
   unsigned EUQuantum;
   CostModel Costs;
   /// Interconnect topology and the network-model parameters (see
-  /// earth/NetworkModel.h). Unlike Engine/Fuse/Dispatch these CHANGE
-  /// simulated results — contention reorders completion times — so all of
-  /// them are key material in keyBytes().
+  /// earth/NetworkModel.h). Unlike Engine these CHANGE simulated results —
+  /// contention reorders completion times — so all of them are key
+  /// material in keyBytes().
   Topology Topo;
   double NetHopNs;
   double NetLinkWordNs;
@@ -125,9 +115,9 @@ struct RunRequest {
   /// forwarded; Sequential forces one node).
   MachineConfig machine() const;
 
-  /// Canonical serialization of the result-determining fields. Engine and
-  /// Fuse are keyed *conservatively*: simulated results are bit-identical
-  /// across both (the equivalence suite pins it), but the service treats
+  /// Canonical serialization of the result-determining fields. Engine is
+  /// keyed *conservatively*: simulated results are bit-identical across
+  /// both engines (the equivalence suite pins it), but the service treats
   /// "how was this computed" as part of the artifact's identity rather
   /// than relying on that theorem at cache-lookup time.
   std::string keyBytes() const;

@@ -18,8 +18,8 @@
 //   torus2d  — mesh2d with wraparound rings (shortest direction).
 //   fattree  — arity-4 tree whose uplinks double in bandwidth per level.
 //
-// Unlike the engine/fuse/dispatch knobs, topology and distribution CHANGE
-// simulated results, so both are request-key material (driver/Request.cpp).
+// Unlike the engine knob, topology and distribution CHANGE simulated
+// results, so both are request-key material (driver/Request.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +58,8 @@ const char *distributionName(Distribution D);
 const char *distributionChoices(); // "cyclic|block"
 bool parseDistribution(std::string_view V, Distribution &Out);
 
-/// Process-default topology: EARTHCC_TOPOLOGY if set to a valid name
-/// (same pattern as EARTHCC_FUSE / EARTHCC_DISPATCH), else ideal.
+/// Process-default topology: EARTHCC_TOPOLOGY if set to a valid name, else
+/// ideal.
 inline Topology defaultTopology() {
   static const Topology T = [] {
     Topology Out = Topology::Ideal;

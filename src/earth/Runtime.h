@@ -21,9 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace earthcc {
@@ -130,67 +128,14 @@ struct OpCounters {
 /// statement tree directly and remains as the reference implementation.
 enum class ExecEngine { AST, Bytecode };
 
-/// How the bytecode engine's inner loop dispatches opcodes. Purely a host
-/// performance choice — both loops are generated from the same handler
-/// bodies (interp/BytecodeExecLoop.inc) and produce bit-identical simulated
-/// results, which the engine-equivalence sweep pins across the axis.
-///
-///  - ComputedGoto: direct-threaded dispatch via a label-address handler
-///    table (GCC/Clang `&&label` extension). The default where available.
-///  - Switch: the portable `switch` loop. The only loop compiled in when
-///    the build forces portability (-DEARTHCC_PORTABLE_DISPATCH, see the
-///    CMake option of the same name); requesting ComputedGoto in such a
-///    build silently falls back to Switch.
-enum class BcDispatch { ComputedGoto, Switch };
-
-/// Whether this build carries the computed-goto loop at all (GCC/Clang and
-/// not forced portable). When false, BcDispatch::ComputedGoto degrades to
-/// the switch loop at run time.
-inline constexpr bool computedGotoAvailable() {
-#if !defined(EARTHCC_PORTABLE_DISPATCH) &&                                     \
-    (defined(__GNUC__) || defined(__clang__))
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Process-wide default for MachineConfig::Dispatch: computed goto where the
-/// build has it, unless the environment sets EARTHCC_DISPATCH=switch. The CI
-/// legs use the variable to sweep whole test-suite runs over one loop
-/// without touching every harness (same pattern as EARTHCC_FUSE).
-inline BcDispatch defaultDispatch() {
-  static const BcDispatch D = [] {
-    const char *E = std::getenv("EARTHCC_DISPATCH");
-    if (E && std::string_view(E) == "switch")
-      return BcDispatch::Switch;
-    return computedGotoAvailable() ? BcDispatch::ComputedGoto
-                                   : BcDispatch::Switch;
-  }();
-  return D;
-}
-
-/// Process-wide default for MachineConfig::Fuse: on, unless the environment
-/// sets EARTHCC_FUSE=off|0. The CI sanitizer leg uses the variable to sweep
-/// the whole test suite over the unfused stream without touching every
-/// harness.
-inline bool defaultFuseEnabled() {
-  static const bool On = [] {
-    const char *E = std::getenv("EARTHCC_FUSE");
-    return !(E && (std::string_view(E) == "off" || std::string_view(E) == "0"));
-  }();
-  return On;
-}
-
 /// Machine configuration.
 struct MachineConfig {
   unsigned NumNodes = 1;
   CostModel Costs;
   /// Interconnect topology (see earth/NetworkModel.h). Ideal is the paper's
   /// constant-latency EARTH-MANNA network and the default (EARTHCC_TOPOLOGY
-  /// overrides, same pattern as EARTHCC_FUSE/EARTHCC_DISPATCH). Unlike the
-  /// Engine/Fuse/Dispatch knobs this CHANGES simulated results, so it is
-  /// request-key material in driver/Request.cpp.
+  /// overrides). Unlike the Engine knob this CHANGES simulated results, so
+  /// it is request-key material in driver/Request.cpp.
   Topology Topo = defaultTopology();
   /// Logical-index -> node mapping for `@node expr` placement (cyclic is
   /// the historical `index % nodes`). Changes simulated results; keyed.
@@ -206,17 +151,6 @@ struct MachineConfig {
   /// Execution engine selection (see ExecEngine). Purely a host-performance
   /// choice; simulated results do not depend on it.
   ExecEngine Engine = ExecEngine::Bytecode;
-  /// Superinstruction fusion (bytecode engine only). When on, the engine
-  /// dispatches the fused stream, whose superinstructions execute several
-  /// walker steps per dispatch while accounting each one exactly — simulated
-  /// time, counters, step counts and traces are bit-identical either way.
-  /// Off forces the unfused one-instruction-per-step stream (differential
-  /// testing). Host-performance choice only.
-  bool Fuse = defaultFuseEnabled();
-  /// Bytecode inner-loop dispatch strategy (see BcDispatch). Host
-  /// performance choice only; simulated results are bit-identical across
-  /// both loops.
-  BcDispatch Dispatch = defaultDispatch();
   /// Sequential mode: every access is a plain local access (no EARTH
   /// primitives at all) — the paper's "Sequential C" baseline.
   bool SequentialMode = false;
@@ -237,7 +171,7 @@ struct MachineConfig {
   /// Per-site communication profiling: when set, both engines accumulate
   /// message counts, words moved, latency histograms and a per-node traffic
   /// matrix keyed by CommSites ids (simulated clock, so the profile is
-  /// engine- and fusion-invariant). Non-owning; null means profiling off
+  /// engine-invariant). Non-owning; null means profiling off
   /// and costs one branch per comm operation.
   CommProfiler *Profiler = nullptr;
 };

@@ -129,9 +129,9 @@ char Lexer::peek(unsigned Ahead) const {
 }
 
 char Lexer::advance() {
-  char C = peek();
-  if (C == '\0')
-    return C;
+  if (atEnd())
+    return '\0';
+  char C = Source[Pos];
   ++Pos;
   if (C == '\n') {
     ++Line;
@@ -140,6 +140,12 @@ char Lexer::advance() {
     ++Col;
   }
   return C;
+}
+
+void Lexer::skipChar() {
+  if (peek() == '\0')
+    Diags.error(here(), "null character in source");
+  advance();
 }
 
 bool Lexer::match(char Expected) {
@@ -157,8 +163,8 @@ void Lexer::skipWhitespaceAndComments() {
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (peek() != '\n' && peek() != '\0')
-        advance();
+      while (!atEnd() && peek() != '\n')
+        skipChar();
       continue;
     }
     if (C == '/' && peek(1) == '*') {
@@ -166,11 +172,11 @@ void Lexer::skipWhitespaceAndComments() {
       advance();
       advance();
       while (!(peek() == '*' && peek(1) == '/')) {
-        if (peek() == '\0') {
+        if (atEnd()) {
           Diags.error(Start, "unterminated block comment");
           return;
         }
-        advance();
+        skipChar();
       }
       advance();
       advance();
@@ -260,70 +266,79 @@ Token Lexer::lexIdentifier(SourceLoc Loc) {
 }
 
 Token Lexer::next() {
-  skipWhitespaceAndComments();
-  SourceLoc Loc = here();
-  char C = peek();
+  // Bad characters are diagnosed and skipped by looping, not recursing, so a
+  // flood of them costs no stack.
+  for (;;) {
+    skipWhitespaceAndComments();
+    SourceLoc Loc = here();
+    if (atEnd())
+      return makeToken(TokKind::Eof, Loc);
+    char C = peek();
+    if (C == '\0') {
+      skipChar();
+      continue;
+    }
+    if (std::isdigit(static_cast<unsigned char>(C)))
+      return lexNumber(Loc);
+    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+      return lexIdentifier(Loc);
 
-  if (C == '\0')
-    return makeToken(TokKind::Eof, Loc);
-  if (std::isdigit(static_cast<unsigned char>(C)))
-    return lexNumber(Loc);
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
-    return lexIdentifier(Loc);
-
-  advance();
-  switch (C) {
-  case '{':
-    return makeToken(match('^') ? TokKind::LBraceCaret : TokKind::LBrace, Loc);
-  case '^':
-    if (match('}'))
-      return makeToken(TokKind::CaretRBrace, Loc);
-    Diags.error(Loc, "unexpected '^' (did you mean '^}' ?)");
-    return next();
-  case '}':
-    return makeToken(TokKind::RBrace, Loc);
-  case '(':
-    return makeToken(TokKind::LParen, Loc);
-  case ')':
-    return makeToken(TokKind::RParen, Loc);
-  case ';':
-    return makeToken(TokKind::Semi, Loc);
-  case ',':
-    return makeToken(TokKind::Comma, Loc);
-  case '.':
-    return makeToken(TokKind::Dot, Loc);
-  case '*':
-    return makeToken(TokKind::Star, Loc);
-  case '&':
-    return makeToken(match('&') ? TokKind::AmpAmp : TokKind::Amp, Loc);
-  case '|':
-    if (match('|'))
-      return makeToken(TokKind::PipePipe, Loc);
-    Diags.error(Loc, "bitwise '|' is not supported in EARTH-C");
-    return next();
-  case '+':
-    return makeToken(TokKind::Plus, Loc);
-  case '-':
-    return makeToken(match('>') ? TokKind::Arrow : TokKind::Minus, Loc);
-  case '/':
-    return makeToken(TokKind::Slash, Loc);
-  case '%':
-    return makeToken(TokKind::Percent, Loc);
-  case '<':
-    return makeToken(match('=') ? TokKind::LessEq : TokKind::Less, Loc);
-  case '>':
-    return makeToken(match('=') ? TokKind::GreaterEq : TokKind::Greater, Loc);
-  case '=':
-    return makeToken(match('=') ? TokKind::EqEq : TokKind::Eq, Loc);
-  case '!':
-    return makeToken(match('=') ? TokKind::NotEq : TokKind::Bang, Loc);
-  case '@':
-    return makeToken(TokKind::At, Loc);
-  case ':':
-    return makeToken(TokKind::Colon, Loc);
-  default:
-    Diags.error(Loc, std::string("unexpected character '") + C + "'");
-    return next();
+    advance();
+    switch (C) {
+    case '{':
+      return makeToken(match('^') ? TokKind::LBraceCaret : TokKind::LBrace,
+                       Loc);
+    case '^':
+      if (match('}'))
+        return makeToken(TokKind::CaretRBrace, Loc);
+      Diags.error(Loc, "unexpected '^' (did you mean '^}' ?)");
+      continue;
+    case '}':
+      return makeToken(TokKind::RBrace, Loc);
+    case '(':
+      return makeToken(TokKind::LParen, Loc);
+    case ')':
+      return makeToken(TokKind::RParen, Loc);
+    case ';':
+      return makeToken(TokKind::Semi, Loc);
+    case ',':
+      return makeToken(TokKind::Comma, Loc);
+    case '.':
+      return makeToken(TokKind::Dot, Loc);
+    case '*':
+      return makeToken(TokKind::Star, Loc);
+    case '&':
+      return makeToken(match('&') ? TokKind::AmpAmp : TokKind::Amp, Loc);
+    case '|':
+      if (match('|'))
+        return makeToken(TokKind::PipePipe, Loc);
+      Diags.error(Loc, "bitwise '|' is not supported in EARTH-C");
+      continue;
+    case '+':
+      return makeToken(TokKind::Plus, Loc);
+    case '-':
+      return makeToken(match('>') ? TokKind::Arrow : TokKind::Minus, Loc);
+    case '/':
+      return makeToken(TokKind::Slash, Loc);
+    case '%':
+      return makeToken(TokKind::Percent, Loc);
+    case '<':
+      return makeToken(match('=') ? TokKind::LessEq : TokKind::Less, Loc);
+    case '>':
+      return makeToken(match('=') ? TokKind::GreaterEq : TokKind::Greater,
+                       Loc);
+    case '=':
+      return makeToken(match('=') ? TokKind::EqEq : TokKind::Eq, Loc);
+    case '!':
+      return makeToken(match('=') ? TokKind::NotEq : TokKind::Bang, Loc);
+    case '@':
+      return makeToken(TokKind::At, Loc);
+    case ':':
+      return makeToken(TokKind::Colon, Loc);
+    default:
+      Diags.error(Loc, std::string("unexpected character '") + C + "'");
+      continue;
+    }
   }
 }
 

@@ -30,8 +30,15 @@ public:
 
 private:
   Token next();
+  /// The character \p Ahead positions on, or '\0' past the end of input.
+  /// A NUL byte inside the buffer also reads as '\0'; atEnd() tells the two
+  /// apart.
   char peek(unsigned Ahead = 0) const;
+  bool atEnd() const { return Pos >= Source.size(); }
   char advance();
+  /// Steps over the current character, diagnosing it if it is a NUL byte
+  /// (comments included: a NUL is an error wherever it appears).
+  void skipChar();
   bool match(char Expected);
   void skipWhitespaceAndComments();
   SourceLoc here() const { return SourceLoc(Line, Col); }

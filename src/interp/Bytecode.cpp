@@ -26,15 +26,6 @@
 #include <memory>
 #include <queue>
 
-// Preprocessor mirror of computedGotoAvailable() (earth/Runtime.h): whether
-// this translation unit compiles the direct-threaded loop at all.
-#if !defined(EARTHCC_PORTABLE_DISPATCH) &&                                     \
-    (defined(__GNUC__) || defined(__clang__))
-#define EARTHCC_HAVE_COMPUTED_GOTO 1
-#else
-#define EARTHCC_HAVE_COMPUTED_GOTO 0
-#endif
-
 using namespace earthcc;
 using namespace earthcc::interp;
 
@@ -105,10 +96,7 @@ enum class StepStatus { Continue, BlockRetry, YieldAt, WaitJoin, FiberDone };
 class BcInterp {
 public:
   BcInterp(const BytecodeModule &BM, const MachineConfig &Cfg)
-      : BM(BM), Cfg(Cfg), Fuse(Cfg.Fuse),
-        Threaded(computedGotoAvailable() &&
-                 Cfg.Dispatch == BcDispatch::ComputedGoto),
-        Trc(Cfg.Trace), Prof(Cfg.Profiler),
+      : BM(BM), Cfg(Cfg), Trc(Cfg.Trace), Prof(Cfg.Profiler),
         Mem(std::max(1u, Cfg.NumNodes)),
         Net(createNetworkModel(Cfg.Topo, Mem.numNodes(), Cfg.Costs,
                                Cfg.NetHopNs, Cfg.NetLinkWordNs)),
@@ -324,21 +312,6 @@ private:
 
   void schedule(Fiber *F, double T) { Q.push({T, ++EventSeq, F}); }
 
-  /// Step budget for a fused dispatch: how many consecutive steps could run
-  /// before the quantum check would preempt (StepsThisRun + k <= EUQuantum)
-  /// or the fuel check would fire (Steps + k - 1 <= MaxSteps; the step that
-  /// reached the fused opcode is already billed). A superinstruction that
-  /// cannot fit executes only the steps that do, so preemption and fuel
-  /// exhaustion land on exactly the same step as unfused stepping. Only the
-  /// fused handlers consult this, so it is computed there, not per step.
-  unsigned fusedBudget(unsigned StepsThisRun) const {
-    uint64_t FuelLeft = Cfg.MaxSteps - Steps + 1;
-    uint64_t QuantumLeft =
-        Cfg.EUQuantum ? Cfg.EUQuantum - StepsThisRun : FuelLeft;
-    return static_cast<unsigned>(
-        std::min<uint64_t>(std::min(FuelLeft, QuantumLeft), 0xffffffffu));
-  }
-
   Fiber *newFiber() {
     Fibers.push_back(std::make_unique<Fiber>());
     Fibers.back()->Id = Fibers.size();
@@ -392,7 +365,7 @@ private:
 
   //===--------------------------------------------------------------------===
   // Basic-instruction execution. Each mirrors its exec* twin in Interp.cpp
-  // line for line; PC handling lives in step().
+  // line for line; PC handling lives in runFiber().
   //===--------------------------------------------------------------------===
 
   StepStatus execAssign(BcFrame &Fr, const BcInsn &I, double &Now,
@@ -963,72 +936,10 @@ private:
     return popFrame(F, Now, nullptr, BlockTime);
   }
 
-  //===--------------------------------------------------------------------===
-  // Superinstruction bodies. A fused dispatch executes up to \p Budget
-  // walker steps; every step it actually takes updates Now/state exactly as
-  // the plain opcode would, and the caller accounts the step count against
-  // the quantum and the fuel. When a later step of the pattern cannot run
-  // (not yet available, or out of budget), the dispatch stops with PC on
-  // the plain instruction that step corresponds to — the pattern tail is
-  // still in the stream — and ordinary stepping takes over.
-  //===--------------------------------------------------------------------===
-
-  /// One step of a FusedAssignRun (the isSimpleAssign shape: pure
-  /// slot-to-slot Opnd/Unary/Binary into a slot). Returns false without
-  /// touching any state when the operands are not available before \p Now,
-  /// with \p Need set to the availability time — the plain Assign's
-  /// BlockRetry condition.
-  bool execSimpleAssignStep(BcFrame &Fr, const BcInsn &A, double &Now,
-                            double &Need) {
-    const auto RK = static_cast<RValueKind>(A.RK);
-    Need = availOf(Fr, A.X);
-    if (RK == RValueKind::Binary)
-      Need = std::max(Need, availOf(Fr, A.Y));
-    if (Need > Now)
-      return false;
-    RtValue Val;
-    switch (RK) {
-    case RValueKind::Opnd:
-      Val = valueOf(Fr, A.X);
-      break;
-    case RValueKind::Unary:
-      Val = evalUnary(static_cast<UnaryOp>(A.Sub), valueOf(Fr, A.X));
-      break;
-    default:
-      Val = evalBinary(static_cast<BinaryOp>(A.Sub), valueOf(Fr, A.X),
-                       valueOf(Fr, A.Y));
-      break;
-    }
-    Now += RK == RValueKind::Opnd ? cost().CopyCost : cost().StmtCost;
-    word(Fr, A.Dst) = Val;
-    Fr.Locals->Avail[A.Dst] = Now;
-    return true;
-  }
-
-  //===--------------------------------------------------------------------===
-  // Fiber run loop (BytecodeExecLoop.inc). The loop body — step accounting
-  // plus one handler per opcode, one instruction == one AST-walker step,
-  // fused superinstructions taking up to Budget steps per dispatch — is
-  // written once in the .inc and expanded below the class as two methods:
-  // the portable switch loop and, where the build carries it, the
-  // direct-threaded computed-goto loop. Selection is per-run (Cfg.Dispatch);
-  // both loops produce bit-identical simulated results.
-  //===--------------------------------------------------------------------===
-
-  void runFiberSwitch(Fiber *F, double T);
-#if EARTHCC_HAVE_COMPUTED_GOTO
-  void runFiberThreaded(Fiber *F, double T);
-#endif
-
-  void runFiber(Fiber *F, double T) {
-#if EARTHCC_HAVE_COMPUTED_GOTO
-    if (Threaded) {
-      runFiberThreaded(F, T);
-      return;
-    }
-#endif
-    runFiberSwitch(F, T);
-  }
+  /// Runs fiber \p F from simulated time \p T until it blocks, yields,
+  /// waits on a join, finishes, or exhausts its EU quantum (defined below
+  /// the class).
+  void runFiber(Fiber *F, double T);
 
   //===--------------------------------------------------------------------===
   // State.
@@ -1036,10 +947,6 @@ private:
 
   const BytecodeModule &BM;
   MachineConfig Cfg;
-  const bool Fuse; ///< Dispatch FusedCode instead of Code (Cfg.Fuse).
-  /// Run the computed-goto loop (Cfg.Dispatch, degraded to the switch loop
-  /// when the build lacks it).
-  const bool Threaded;
   TraceSink *Trc = nullptr;
   CommProfiler *Prof = nullptr;
   EarthMemory Mem;
@@ -1061,29 +968,279 @@ private:
   std::vector<GlobalAddr> GlobalSharedAddrs; ///< By SharedGlobalIndex.
   std::vector<std::string> Output;
   uint64_t Steps = 0;
-  uint64_t FusedDispatches = 0; ///< Multi-step fused dispatches (host metric).
-  uint64_t FusedSteps = 0;      ///< Steps covered by those dispatches.
 
   Fiber *MainFiber = nullptr;
   double EndTime = 0.0;
   RtValue ExitVal;
 };
 
-// Expand the shared loop body as the portable switch loop, and — where the
-// build carries computed goto — again as the direct-threaded loop.
-#define EARTHCC_RUNFIBER_NAME runFiberSwitch
-#define EARTHCC_DISPATCH_THREADED 0
-#include "interp/BytecodeExecLoop.inc"
-#undef EARTHCC_RUNFIBER_NAME
-#undef EARTHCC_DISPATCH_THREADED
+//===----------------------------------------------------------------------===//
+// Fiber run loop: one handler per opcode, one instruction == one AST-walker
+// step. The loop caches the top frame pointer and its instruction stream per
+// activation instead of re-deriving both every step; the caches are
+// refreshed at exactly the points the frame stack can change (Call / Return
+// / ImplicitRet). Step accounting — fuel, the EU preemption quantum, and the
+// EUClock update on every step — is kept instruction-for-instruction
+// identical to the AST walker's runFiber contract.
+//===----------------------------------------------------------------------===//
 
-#if EARTHCC_HAVE_COMPUTED_GOTO
-#define EARTHCC_RUNFIBER_NAME runFiberThreaded
-#define EARTHCC_DISPATCH_THREADED 1
-#include "interp/BytecodeExecLoop.inc"
-#undef EARTHCC_RUNFIBER_NAME
-#undef EARTHCC_DISPATCH_THREADED
-#endif
+void BcInterp::runFiber(Fiber *F, double T) {
+  if (F->Done)
+    return;
+  unsigned Node = F->Stack.empty() ? 0 : F->Stack.back().Node;
+  double Now = std::max(T, EUClock[Node]);
+  if (LastFiber[Node] != F && LastFiber[Node] != nullptr &&
+      !Cfg.SequentialMode) {
+    if (Trc)
+      traceInstant("ctx-switch", "eu", Now, Node, TraceTidEU,
+                   {{"fiber", F->Id}});
+    Now += cost().CtxSwitch;
+    ++Ctr.CtxSwitches;
+  }
+  LastFiber[Node] = F;
+  const double SliceStart = Now;
+  auto endSlice = [&](double End) {
+    if (Trc && End > SliceStart) {
+      traceSpan("eu-run", "eu", SliceStart, End - SliceStart, Node,
+                TraceTidEU, {{"fiber", F->Id}});
+      traceClock("eu-clock", End, Node, TraceTidEU, EUClock[Node]);
+    }
+  };
+
+  // The cached top frame and its instruction stream.
+  BcFrame *Fr;
+  const BcInsn *Code;
+  auto reload = [&] {
+    Fr = F->Stack.empty() ? nullptr : &F->Stack.back();
+    Code = Fr ? Fr->BF->Code.data() : nullptr;
+  };
+  reload();
+  unsigned StepsThisRun = 0;
+  unsigned NodeBefore = Node;
+  double BlockTime = 0.0;
+
+  for (;;) {
+    if (++Steps > Cfg.MaxSteps)
+      fail("step limit exceeded (infinite loop?)");
+    NodeBefore = Fr ? Fr->Node : Node;
+    if (Cfg.EUQuantum && StepsThisRun >= Cfg.EUQuantum) {
+      endSlice(Now);
+      schedule(F, Now);
+      return;
+    }
+    BlockTime = 0.0;
+    if (!Fr) {
+      // Scheduled with an empty stack: already complete (defensive parity
+      // with the AST walker; the step is still billed, as before).
+      finishFiber(F, Now, 0);
+      goto Halt;
+    }
+
+    // Each handler either leaves the switch to take the next step, or jumps
+    // to one of the exits below the loop.
+    const BcInsn &I = Code[Fr->PC];
+    switch (I.Op) {
+    case BcOp::Assign:
+      if (execAssign(*Fr, I, Now, BlockTime) == StepStatus::BlockRetry)
+        goto BlockRetry;
+      ++Fr->PC;
+      break;
+    case BcOp::BlkMov:
+      if (execBlkMov(*Fr, I, Now, BlockTime) == StepStatus::BlockRetry)
+        goto BlockRetry;
+      ++Fr->PC;
+      break;
+    case BcOp::Atomic:
+      if (execAtomic(*Fr, I, Now, BlockTime) == StepStatus::BlockRetry)
+        goto BlockRetry;
+      ++Fr->PC;
+      break;
+    case BcOp::Call:
+      // execCall advances PC itself.
+      if (execCall(F, *Fr, I, Now, BlockTime) != StepStatus::Continue)
+        goto BlockRetry; // BlockRetry, or YieldAt migrating to a remote node.
+      reload();          // A user call pushed the callee frame.
+      break;
+    case BcOp::Return:
+    case BcOp::ImplicitRet: {
+      StepStatus St = I.Op == BcOp::Return
+                          ? execReturn(F, *Fr, I, Now, BlockTime)
+                          : popFrame(F, Now, nullptr, BlockTime);
+      if (St == StepStatus::FiberDone)
+        goto Halt;
+      if (St != StepStatus::Continue)
+        goto BlockRetry; // BlockRetry (value not ready) or migrated YieldAt.
+      reload();          // The frame under the popped one is the new top.
+      break;
+    }
+
+    case BcOp::Enter:
+    case BcOp::EndCompound:
+      ++Fr->PC;
+      break;
+    case BcOp::EndSeq:
+      Fr->PC = I.A;
+      break;
+
+    case BcOp::Br: {
+      double Need = condAvail(*Fr, I);
+      if (Need > Now) {
+        BlockTime = Need;
+        goto BlockRetry;
+      }
+      Now += cost().StmtCost;
+      Fr->PC = condValue(*Fr, I).truthy() ? Fr->PC + 1 : I.A;
+      break;
+    }
+    case BcOp::LoopCond: {
+      double Need = condAvail(*Fr, I);
+      if (Need > Now) {
+        BlockTime = Need;
+        goto BlockRetry;
+      }
+      Now += cost().StmtCost;
+      Fr->PC = condValue(*Fr, I).truthy() ? I.A : I.B;
+      break;
+    }
+    case BcOp::Switch: {
+      double Need = availOf(*Fr, I.X);
+      if (Need > Now) {
+        BlockTime = Need;
+        goto BlockRetry;
+      }
+      Now += cost().StmtCost;
+      const int64_t V = valueOf(*Fr, I.X).I;
+      int32_t Target = I.A;
+      // All three strategies yield the target of the first source-order case
+      // matching V (see BcSwitchMode; dedup at lowering keeps the first).
+      switch (static_cast<BcSwitchMode>(I.Sub)) {
+      case BcSwitchMode::Linear: {
+        const auto *Cases = Fr->BF->CasePool.data() + I.B;
+        for (uint32_t J = 0; J != I.Words; ++J)
+          if (Cases[J].first == V) {
+            Target = Cases[J].second;
+            break;
+          }
+        break;
+      }
+      case BcSwitchMode::Dense: {
+        const BcJumpTable &Tbl = Fr->BF->JumpTables[I.Dst];
+        const uint64_t Idx =
+            static_cast<uint64_t>(V) - static_cast<uint64_t>(Tbl.Lo);
+        if (Idx < Tbl.Size) {
+          const int32_t Hit = Fr->BF->JumpPool[Tbl.Begin + Idx];
+          if (Hit >= 0)
+            Target = Hit;
+        }
+        break;
+      }
+      case BcSwitchMode::Sorted: {
+        const auto *Begin = Fr->BF->SortedCasePool.data() + I.Dst;
+        const auto *End = Begin + I.Off;
+        const auto *It =
+            std::lower_bound(Begin, End, V,
+                             [](const std::pair<int64_t, int32_t> &E,
+                                int64_t Val) { return E.first < Val; });
+        if (It != End && It->first == V)
+          Target = It->second;
+        break;
+      }
+      }
+      Fr->PC = Target;
+      break;
+    }
+
+    case BcOp::ParSpawn: {
+      auto Join = std::make_shared<JoinCtx>();
+      Join->Outstanding = static_cast<int>(I.Words);
+      Fr->Joins.push_back(Join);
+      ++Fr->PC;
+      const int32_t *Branches = Fr->BF->BranchPool.data() + I.B;
+      for (uint32_t J = 0; J != I.Words; ++J) {
+        Fiber *Child = newFiber();
+        Child->ParentJoin = Join;
+        BcFrame BFr;
+        BFr.BF = Fr->BF;
+        BFr.Node = Fr->Node;
+        BFr.Locals = Fr->Locals; // Branches share the activation locals.
+        BFr.PC = Branches[J];
+        Child->Stack.push_back(std::move(BFr));
+        if (!Cfg.SequentialMode) {
+          Now += cost().SpawnCost;
+          ++Ctr.Spawns;
+          if (Trc)
+            traceInstant("spawn", "fiber", Now, Fr->Node, TraceTidEU,
+                         {{"child", Child->Id}});
+        }
+        schedule(Child, Now);
+      }
+      break;
+    }
+    case BcOp::Join: {
+      std::shared_ptr<JoinCtx> &Join = Fr->Joins.back();
+      if (Join->Outstanding == 0) {
+        Now = std::max(Now, Join->LatestEnd);
+        Fr->Joins.pop_back();
+        ++Fr->PC;
+        break;
+      }
+      Join->Waiter = F;
+      goto Halt; // WaitJoin: the join signal reschedules the fiber.
+    }
+    case BcOp::ForallInit:
+      Fr->Joins.push_back(std::make_shared<JoinCtx>());
+      ++Fr->PC;
+      break;
+    case BcOp::ForallCond: {
+      double Need = condAvail(*Fr, I);
+      if (Need > Now) {
+        BlockTime = Need;
+        goto BlockRetry;
+      }
+      Now += cost().StmtCost;
+      if (!condValue(*Fr, I).truthy()) {
+        Fr->PC = I.B;
+        break;
+      }
+      Fiber *Child = newFiber();
+      Child->ParentJoin = Fr->Joins.back();
+      ++Fr->Joins.back()->Outstanding;
+      BcFrame BFr;
+      BFr.BF = Fr->BF;
+      BFr.Node = Fr->Node;
+      // Each iteration captures the driver's variables by value.
+      BFr.Locals = copyLocals(*Fr->Locals);
+      BFr.PC = I.A;
+      Child->Stack.push_back(std::move(BFr));
+      if (!Cfg.SequentialMode) {
+        Now += cost().SpawnCost;
+        ++Ctr.Spawns;
+        if (Trc)
+          traceInstant("spawn", "fiber", Now, Fr->Node, TraceTidEU,
+                       {{"child", Child->Id}});
+      }
+      schedule(Child, Now);
+      ++Fr->PC; // Fall into the Step region.
+      break;
+    }
+    }
+
+    EUClock[NodeBefore] = std::max(EUClock[NodeBefore], Now);
+    ++StepsThisRun;
+  }
+
+BlockRetry: // BlockRetry / YieldAt: reschedule at the release time.
+  EUClock[NodeBefore] = std::max(EUClock[NodeBefore], Now);
+  endSlice(Now);
+  LastFiber[NodeBefore] = nullptr;
+  schedule(F, std::max(BlockTime, Now));
+  return;
+
+Halt: // WaitJoin / FiberDone: leave the EU without rescheduling.
+  EUClock[NodeBefore] = std::max(EUClock[NodeBefore], Now);
+  endSlice(Now);
+  LastFiber[NodeBefore] = nullptr;
+}
 
 RunResult BcInterp::run(const std::string &Entry,
                         const std::vector<RtValue> &Args) {
@@ -1148,8 +1305,6 @@ RunResult BcInterp::run(const std::string &Entry,
   R.Counters = Ctr;
   R.Output = std::move(Output);
   R.StepsExecuted = Steps;
-  R.FusedDispatches = FusedDispatches;
-  R.FusedSteps = FusedSteps;
   for (unsigned N = 0; N != Mem.numNodes(); ++N)
     R.WordsPerNode.push_back(Mem.allocatedWords(N));
   return R;

@@ -82,36 +82,11 @@ enum class BcOp : uint8_t {
   ForallInit,  ///< Create the forall's join, fall through into Init code.
   ForallCond,  ///< Forall condition: spawn body fiber at A / exit to B.
   ImplicitRet, ///< Implicit void return (frame termination).
-
-  // Superinstructions (present only in BytecodeFunction::FusedCode; the
-  // unfused Code stream never contains them, so --fuse=off cannot reach
-  // them). Each executes the exact step sequence of its unfused expansion,
-  // accounting every step against the EU quantum and the interpreter fuel;
-  // when the remaining step budget or an operand's availability would make
-  // the grouped execution diverge from stepping, the superinstruction
-  // executes only the steps that fit and falls back to the plain opcodes
-  // that still follow it in the stream (fusion rewrites only the head
-  // instruction of a pattern, so stream length and every jump target are
-  // unchanged).
-  FusedEndLoop,   ///< EndSeq whose target (A) is the LoopCond of a loop:
-                  ///< sequence pop + compare-and-branch in one dispatch
-                  ///< (2 steps).
-  FusedAssignRun, ///< Head of Words (2..3) consecutive slot-to-slot pure
-                  ///< Assigns (load-operand / Binary arithmetic / store
-                  ///< back to a slot): one dispatch, Words steps. Carries
-                  ///< the head Assign's own payload; the tail insns are
-                  ///< read from the unfused positions that follow.
-  FusedEnterRun,  ///< Head of Words (>= 2) consecutive Enter instructions
-                  ///< (nested construct entries, do-while body entries):
-                  ///< one dispatch advancing PC by min(Words, budget)
-                  ///< steps. Enter never blocks, costs no simulated time
-                  ///< and touches no state beyond PC, so the run is pure
-                  ///< control-step batching.
 };
 
 /// Condition-shape marker for conditions that are not pure (Opnd / Unary /
 /// Binary). The engines raise the AST walker's "condition with memory
-/// access" diagnostic when they dispatch one; fusion and backends skip it.
+/// access" diagnostic when they dispatch one; backends skip it.
 constexpr uint8_t BcBadCondRK = 0xff;
 
 /// How a Switch instruction locates its target at execution time. Lowering
@@ -223,14 +198,6 @@ struct BytecodeFunction {
   /// Sparse switches: (value, target) deduplicated first-wins and sorted by
   /// value; a Sorted switch's run is [Dst, Dst + Off).
   std::vector<std::pair<int64_t, int32_t>> SortedCasePool;
-
-  /// The superinstruction stream: Code with fusable pattern heads rewritten
-  /// to Fused* opcodes (same length, same jump targets; non-head members of
-  /// a pattern stay plain, so jumps into a pattern and fallback paths hit
-  /// ordinary opcodes). The engine dispatches this stream when
-  /// MachineConfig::Fuse is on and Code otherwise. Built by lowerModule
-  /// alongside Code, and dropped with it on Module::invalidateExecCache().
-  std::vector<BcInsn> FusedCode;
 
   /// Inline caches resolved at lowering time (dropped with the whole
   /// BytecodeModule on Module::invalidateExecCache(), so post-lowering IR

@@ -61,14 +61,6 @@ struct RunResult {
   std::vector<std::string> Output; ///< print() lines, in emission order.
   uint64_t StepsExecuted = 0;
   std::vector<size_t> WordsPerNode; ///< Heap words allocated per node.
-
-  /// Host-side dispatch metrics (NOT part of the simulated result, so the
-  /// engine-equivalence sweep does not compare them): number of fused
-  /// superinstruction dispatches that executed more than one step, and the
-  /// total steps those dispatches covered. Zero for the AST engine and for
-  /// bytecode runs with MachineConfig::Fuse off.
-  uint64_t FusedDispatches = 0;
-  uint64_t FusedSteps = 0;
 };
 
 /// Runs \p Entry (default "main") of \p M on a simulated machine described

@@ -49,7 +49,7 @@ using namespace earthcc;
 namespace {
 
 /// Condition-shape marker for conditions that are not pure (parity with the
-/// AST engine's pureAvail error path). Shared with fusion and the backends.
+/// AST engine's pureAvail error path). Shared with the backends.
 constexpr uint8_t BadCondRK = BcBadCondRK;
 
 class FunctionLowering {
@@ -448,98 +448,6 @@ private:
   int32_t RetPC = -1;
 };
 
-//===----------------------------------------------------------------------===//
-// Superinstruction fusion (see Bytecode.h). A pure peephole over the
-// finished stream: only the *head* instruction of a fusable pattern is
-// rewritten, the pattern's tail stays plain, so the fused stream has the
-// same length and the same jump targets as the unfused one. The engine
-// accounts each fused step individually, so every observable (time,
-// counters, steps, traces) is bit-identical to stepping the plain stream.
-//===----------------------------------------------------------------------===//
-
-/// Longest fusable run of 2 or 3 ("load-operand / Binary / store") steps.
-constexpr uint32_t MaxAssignRun = 3;
-
-/// A Const operand, or a slot that actually has frame storage. Operands
-/// that would raise the engine's "no storage" diagnostic are left to the
-/// plain opcode so the error path stays byte-for-byte identical.
-bool fusableOperand(const BcOperand &O) {
-  return O.Kind == BcOperand::K::Const ||
-         (O.Kind == BcOperand::K::Slot && O.Slot >= 0);
-}
-
-/// Pure slot-to-slot assignment: a register copy (Opnd), a Unary, or a
-/// Binary over slots/constants, stored to a slot. No memory access, no
-/// blocking side effects — exactly the shape whose unfused execution is
-/// "check availability, compute, bump Now, store".
-bool isSimpleAssign(const BcInsn &I) {
-  if (I.Op != BcOp::Assign || static_cast<LValueKind>(I.LK) != LValueKind::Var)
-    return false;
-  const auto RK = static_cast<RValueKind>(I.RK);
-  if (RK != RValueKind::Opnd && RK != RValueKind::Unary &&
-      RK != RValueKind::Binary)
-    return false;
-  if (I.Dst < 0 || !fusableOperand(I.X))
-    return false;
-  return RK != RValueKind::Binary || fusableOperand(I.Y);
-}
-
-/// Builds BF.FusedCode from BF.Code.
-void buildFusedStream(BytecodeFunction &BF) {
-  BF.FusedCode = BF.Code;
-  const size_t N = BF.Code.size();
-  for (size_t I = 0; I != N; ++I) {
-    const BcInsn &Head = BF.Code[I];
-
-    // EndSeq jumping to a LoopCond: the loop-back pop plus the next
-    // iteration's compare-and-branch (the hottest two-step pattern — every
-    // while/do-while iteration ends with it). Conditions with memory
-    // access (BadCondRK) keep the plain pair so the failure fires on the
-    // exact step it would unfused.
-    if (Head.Op == BcOp::EndSeq && Head.A >= 0 &&
-        static_cast<size_t>(Head.A) < N) {
-      const BcInsn &Target = BF.Code[Head.A];
-      if (Target.Op == BcOp::LoopCond && Target.RK != BadCondRK)
-        BF.FusedCode[I].Op = BcOp::FusedEndLoop;
-      continue;
-    }
-
-    // Runs of consecutive Enter steps: a nested construct whose first
-    // child is itself a compound, or a do-while's construct-entry +
-    // body-entry pair. Enter never blocks, never advances the simulated
-    // clock and touches nothing but PC, so the run collapses into one
-    // dispatch of Words PC bumps (each still accounted as a step). A jump
-    // into the middle of a run lands on a shorter fused head or a plain
-    // Enter — both execute identically.
-    if (Head.Op == BcOp::Enter) {
-      uint32_t Run = 1;
-      while (I + Run < N && BF.Code[I + Run].Op == BcOp::Enter)
-        ++Run;
-      if (Run >= 2) {
-        BF.FusedCode[I].Op = BcOp::FusedEnterRun;
-        BF.FusedCode[I].Words = Run;
-      }
-      continue;
-    }
-
-    // Runs of pure slot-to-slot assigns: t = x->f style operand loads,
-    // Binary arithmetic, and stores back to slots fuse into one dispatch
-    // of up to MaxAssignRun steps. Words (unused by Assign) carries the
-    // run length; the head keeps its own payload, the tail is read from
-    // the plain stream at execution.
-    if (isSimpleAssign(Head)) {
-      uint32_t Run = 1;
-      while (Run < MaxAssignRun && I + Run < N &&
-             isSimpleAssign(BF.Code[I + Run]))
-        ++Run;
-      if (Run >= 2) {
-        BF.FusedCode[I].Op = BcOp::FusedAssignRun;
-        BF.FusedCode[I].Words = Run;
-      }
-    }
-  }
-}
-
 /// Dense-table policy: a switch's deduplicated values get a jump table when
 /// the value span wastes at most 3 holes per case (span <= 4 * cases) and
 /// the table stays small in absolute terms; everything else binary-searches
@@ -549,8 +457,7 @@ constexpr uint64_t MaxJumpTableSpan = 4096;
 
 /// Annotates every Switch in BF.Code with its execution strategy
 /// (BcSwitchMode in Sub) and builds the side tables. Runs after the
-/// function's body is fully lowered — case targets in CasePool are final —
-/// and before buildFusedStream, so FusedCode copies the annotated form.
+/// function's body is fully lowered — case targets in CasePool are final.
 /// Purely per-function and deterministic, so the parallel lowering fan-out
 /// keeps its bit-identical-output contract.
 void buildSwitchDispatch(BytecodeFunction &BF) {
@@ -676,7 +583,6 @@ std::shared_ptr<const BytecodeModule> earthcc::lowerModule(const Module &M,
     BytecodeFunction &BF = *BM->Funcs[I];
     FunctionLowering(*BM, BF, Sites).run();
     buildSwitchDispatch(BF);
-    buildFusedStream(BF);
   };
   if (Threads == 0)
     Threads = ThreadPool::hardwareThreads();

@@ -20,8 +20,8 @@
 
 namespace earthcc {
 
-/// Lowers every function of \p M into a fresh BytecodeModule (both the
-/// plain and the fused instruction streams — see Bytecode.h).
+/// Lowers every function of \p M into a fresh BytecodeModule (see
+/// Bytecode.h).
 ///
 /// \p Threads drives the per-function bodies over a thread pool (functions
 /// are independent once the serial frame-layout pass has run): 1 lowers

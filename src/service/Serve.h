@@ -16,7 +16,7 @@
 ///   {"id": 5, "op": "ping"}
 ///   {"op": "shutdown"}
 ///
-/// Every option field ("nodes", "engine", "fuse", "seq", "threshold", ...)
+/// Every option field ("nodes", "engine", "topology", "seq", "threshold", ...)
 /// is resolved through the same declarative table (requestOptions()) the
 /// command line uses — the two surfaces accept the same knobs by
 /// construction. Extras understood only here: "id" (echoed verbatim),

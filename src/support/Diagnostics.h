@@ -37,12 +37,21 @@ struct Diagnostic {
 /// Collects diagnostics produced while compiling one translation unit.
 ///
 /// The engine is append-only; passes query hasErrors() to decide whether it
-/// is safe to continue.
+/// is safe to continue. Only the first MaxRecordedErrors errors are kept
+/// (followed by one note saying the rest were dropped); later ones are just
+/// counted, so a flood of bad input cannot grow the list, or the text
+/// rendered from it, without bound.
 class DiagnosticsEngine {
 public:
+  static constexpr unsigned MaxRecordedErrors = 100;
+
   void error(SourceLoc Loc, const std::string &Message) {
-    Diags.push_back({DiagKind::Error, Loc, Message});
     ++NumErrors;
+    if (NumErrors <= MaxRecordedErrors)
+      Diags.push_back({DiagKind::Error, Loc, Message});
+    else if (NumErrors == MaxRecordedErrors + 1)
+      Diags.push_back({DiagKind::Note, Loc,
+                       "too many errors; later errors are not shown"});
   }
   void warning(SourceLoc Loc, const std::string &Message) {
     Diags.push_back({DiagKind::Warning, Loc, Message});

@@ -71,7 +71,7 @@ const std::vector<Workload> &earthcc::oldenWorkloads() {
       makeWorkload("power",
                    "Power system optimization over a variable k-nary tree",
                    "10,000 leaves",
-                   "512 leaves (8 feeders x 4 x 4 x 4), 4 iterations",
+                   "1024 leaves (16 feeders x 4 x 4 x 4), 4 iterations",
                    "blocking of per-node field reads/writes",
                    earthccPowerSource,
                    {{"feeders", "16", "8"},
@@ -96,7 +96,7 @@ const std::vector<Workload> &earthcc::oldenWorkloads() {
                    {{"levels", "3", "2"}, {"iters", "48", "8"}}),
       makeWorkload("voronoi",
                    "Divide-and-conquer geometric merge over a point tree",
-                   "32K points", "1K points (depth-11 point tree)",
+                   "32K points", "2047 points (depth-11 point tree)",
                    "redundancy elimination + blocking", earthccVoronoiSource,
                    {{"depth", "11", "7"}}),
   };

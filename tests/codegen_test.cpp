@@ -562,7 +562,7 @@ TEST(ThreadedCTest, WholeModuleEmission) {
 //===----------------------------------------------------------------------===//
 // Differential and invariance suites: the bytecode-driven emitter against
 // the frozen tree-walking reference, the checked-in goldens, and the
-// lower-threads / fuse configuration axes.
+// lower-threads configuration axis.
 //===----------------------------------------------------------------------===//
 
 /// Every workload x {Simple, Optimized}: per-function text and
@@ -589,28 +589,16 @@ TEST(ThreadedCDifferentialTest, MatchesTreeEmitterOnAllWorkloads) {
   }
 }
 
-/// The emitter reads only the plain (unfused) stream, so clearing FusedCode
-/// must not change one byte of output, and neither may the lowering thread
-/// count (whose output is bit-identical by construction). Together with the
-/// golden test below this pins the acceptance matrix:
-/// --lower-threads {1,4} x --fuse {on,off}.
-TEST(ThreadedCDifferentialTest, InvariantAcrossLowerThreadsAndFuse) {
+/// The lowering thread count must not change one byte of output (lowering
+/// is bit-identical by construction). Together with the golden test below
+/// this pins the acceptance matrix: --lower-threads {1,4}.
+TEST(ThreadedCDifferentialTest, InvariantAcrossLowerThreads) {
   for (const Workload &W : oldenWorkloads()) {
     CompileResult CR = compileWorkload(W, RunMode::Optimized);
     ASSERT_TRUE(CR.OK) << W.Name << ": " << CR.Messages;
     auto BM1 = lowerModule(*CR.M, /*Threads=*/1);
     auto BM4 = lowerModule(*CR.M, /*Threads=*/4);
     EXPECT_EQ(emitThreadedC(*BM1), emitThreadedC(*BM4)) << W.Name;
-    for (const auto &BF : BM1->Funcs) {
-      BytecodeFunction Unfused = *BF; // Same plain stream, no fused stream.
-      Unfused.FusedCode.clear();
-      ThreadedCInfo Fused, Plain;
-      EXPECT_EQ(emitThreadedC(*BM1, *BF, &Fused),
-                emitThreadedC(*BM1, Unfused, &Plain))
-          << W.Name << " " << BF->Fn->name();
-      EXPECT_EQ(Fused.Threads, Plain.Threads);
-      EXPECT_EQ(Fused.SyncSlots, Plain.SyncSlots);
-    }
   }
 }
 

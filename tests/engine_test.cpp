@@ -32,17 +32,11 @@ struct EngineRun {
 };
 
 /// Runs \p M under \p Engine with a fresh trace sink and profiler attached.
-/// \p Fuse selects the bytecode engine's superinstruction stream and
-/// \p Dispatch its inner loop (both ignored by the AST engine; on a build
-/// without computed goto, ComputedGoto degrades to the switch loop).
 EngineRun runWith(Pipeline &P, const Module &M, MachineConfig MC,
-                  ExecEngine Engine, bool Fuse = true,
-                  BcDispatch Dispatch = defaultDispatch()) {
+                  ExecEngine Engine) {
   ChromeTraceSink Sink;
   CommProfiler Prof;
   MC.Engine = Engine;
-  MC.Fuse = Fuse;
-  MC.Dispatch = Dispatch;
   MC.Trace = &Sink;
   MC.Profiler = &Prof;
   RunResult R = P.run(M, MC);
@@ -84,14 +78,8 @@ protected:
   }
 
   /// Compiles \p Source once per mode and sweeps 1/2/4 nodes, comparing
-  /// the AST engine against the bytecode engine with fusion on AND off and
-  /// under both dispatch loops at every configuration. Fused dispatch
-  /// counts are host metrics, so they are deliberately outside
-  /// expectIdentical — but the sweep does assert the fused stream actually
-  /// fused something (on) and that the unfused stream never dispatches a
-  /// superinstruction (off).
+  /// the AST engine against the bytecode engine at every configuration.
   void sweep(const std::string &Source, const std::string &SizeTag) {
-    uint64_t FusedDispatches = 0;
     for (RunMode Mode : {RunMode::Simple, RunMode::Optimized}) {
       Pipeline P(workloadOptions(Mode));
       CompileResult CR = P.compile(Source);
@@ -102,33 +90,10 @@ protected:
                            (Mode == RunMode::Simple ? "/simple/" : "/opt/") +
                            std::to_string(Nodes) + "n";
         auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
-        auto BcFused = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-        auto BcPlain =
-            runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/false);
-        // Dispatch axis: the default above is computed goto where the build
-        // carries it; the explicit switch-loop runs pin both loops to the
-        // same bits (they collapse to the same loop on a portable build).
-        auto BcSwFused = runWith(P, *CR.M, MC, ExecEngine::Bytecode,
-                                 /*Fuse=*/true, BcDispatch::Switch);
-        auto BcSwPlain = runWith(P, *CR.M, MC, ExecEngine::Bytecode,
-                                 /*Fuse=*/false, BcDispatch::Switch);
-        expectIdentical(Ast, BcFused, What + "/fuse=on");
-        expectIdentical(Ast, BcPlain, What + "/fuse=off");
-        expectIdentical(Ast, BcSwFused, What + "/fuse=on/dispatch=switch");
-        expectIdentical(Ast, BcSwPlain, What + "/fuse=off/dispatch=switch");
-        EXPECT_EQ(Ast.R.FusedDispatches, 0u) << What;
-        EXPECT_EQ(BcPlain.R.FusedDispatches, 0u) << What;
-        EXPECT_GE(BcFused.R.FusedSteps, 2 * BcFused.R.FusedDispatches)
-            << What << ": a fused dispatch covers at least two steps";
-        EXPECT_EQ(BcFused.R.FusedDispatches, BcSwFused.R.FusedDispatches)
-            << What << ": fused dispatch counts diverge across loops";
-        EXPECT_EQ(BcFused.R.FusedSteps, BcSwFused.R.FusedSteps) << What;
-        FusedDispatches += BcFused.R.FusedDispatches;
+        auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
+        expectIdentical(Ast, Bc, What);
       }
     }
-    EXPECT_GT(FusedDispatches, 0u)
-        << GetParam() << "/" << SizeTag
-        << ": fusion never fired across the whole sweep";
   }
 };
 
@@ -164,24 +129,14 @@ TEST_P(EngineEquivalenceTest, QuantumSweep) {
         GetParam() + "/quantum=" + std::to_string(Quantum);
     auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
     auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-    auto BcPlain = runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/false);
-    auto BcSw = runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/true,
-                        BcDispatch::Switch);
-    expectIdentical(Ast, Bc, What + "/fuse=on");
-    expectIdentical(Ast, BcPlain, What + "/fuse=off");
-    expectIdentical(Ast, BcSw, What + "/dispatch=switch");
-    // A one-step quantum leaves no budget for a multi-step dispatch: every
-    // superinstruction must fall back to single-stepping.
-    if (Quantum == 1) {
-      EXPECT_EQ(Bc.R.FusedDispatches, 0u) << What;
-    }
+    expectIdentical(Ast, Bc, What);
   }
 }
 
-// Topology axis: at every fixed (topology, distribution) the engine, fuse
-// and dispatch knobs must still be bit-identical — the network model mutates
-// link state in event order, so this pins that both engines issue network
-// transactions in the same order even under contention.
+// Topology axis: at every fixed (topology, distribution) the two engines
+// must still be bit-identical — the network model mutates link state in
+// event order, so this pins that both engines issue network transactions in
+// the same order even under contention.
 TEST_P(EngineEquivalenceTest, TopologyAxis) {
   Pipeline P(workloadOptions(RunMode::Optimized));
   CompileResult CR = P.compile(workload().smallSource());
@@ -197,13 +152,7 @@ TEST_P(EngineEquivalenceTest, TopologyAxis) {
                          distributionName(Dist);
       auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
       auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-      auto BcPlain =
-          runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/false);
-      auto BcSw = runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/true,
-                          BcDispatch::Switch);
-      expectIdentical(Ast, Bc, What + "/fuse=on");
-      expectIdentical(Ast, BcPlain, What + "/fuse=off");
-      expectIdentical(Ast, BcSw, What + "/dispatch=switch");
+      expectIdentical(Ast, Bc, What);
     }
   }
 }
@@ -274,7 +223,7 @@ void expectSameStream(const std::vector<BcInsn> &A, const std::vector<BcInsn> &B
 }
 
 // Parallel per-function lowering must be a pure host-speed knob: every
-// thread count yields bit-identical bytecode (both streams, all pools, all
+// thread count yields bit-identical bytecode (the stream, all pools, all
 // inline caches) for the same module.
 TEST(LowerThreadsTest, ParallelLoweringIsDeterministic) {
   const Workload *W = findWorkload("health");
@@ -314,7 +263,6 @@ TEST(LowerThreadsTest, ParallelLoweringIsDeterministic) {
       for (size_t I = 0; I != A.ArgPool.size(); ++I)
         expectSameOperand(A.ArgPool[I], B.ArgPool[I], What + "/argpool");
       expectSameStream(A.Code, B.Code, What + "/code");
-      expectSameStream(A.FusedCode, B.FusedCode, What + "/fused");
     }
   }
 }
@@ -337,8 +285,6 @@ TEST(LowerThreadsTest, PipelineRunsIdenticalAtAnyThreadCount) {
   auto A = runWith(PS, *CS.M, MC, ExecEngine::Bytecode);
   auto B = runWith(PP, *CP.M, MC, ExecEngine::Bytecode);
   expectIdentical(A, B, "lower-threads 1 vs 4");
-  EXPECT_EQ(A.R.FusedDispatches, B.R.FusedDispatches);
-  EXPECT_EQ(A.R.FusedSteps, B.R.FusedSteps);
 }
 
 // The pass-threads contract, pinned the same way the lower-threads one is:
@@ -380,9 +326,9 @@ TEST(PassThreadsTest, CompileIsBitIdenticalAtAnyThreadCount) {
 
 // The profiler contract: the per-site communication profile is a pure
 // function of (module, machine configuration), not of the execution
-// strategy. Engine choice, superinstruction fusion and the lowering thread
-// count must all yield byte-identical serialized profiles.
-TEST(CommProfileTest, BitIdenticalAcrossEngineFuseAndLowerThreads) {
+// strategy. Engine choice and the lowering thread count must both yield
+// byte-identical serialized profiles.
+TEST(CommProfileTest, BitIdenticalAcrossEngineAndLowerThreads) {
   const Workload *W = findWorkload("health");
   ASSERT_NE(W, nullptr);
   MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
@@ -397,20 +343,15 @@ TEST(CommProfileTest, BitIdenticalAcrossEngineFuseAndLowerThreads) {
     EXPECT_TRUE(CR.Remarks.hasPass("placement")) << "threads=" << Threads;
     EXPECT_TRUE(CR.Remarks.hasPass("comm-select")) << "threads=" << Threads;
     for (ExecEngine Engine : {ExecEngine::AST, ExecEngine::Bytecode}) {
-      for (bool Fuse : {true, false}) {
-        if (Engine == ExecEngine::AST && !Fuse)
-          continue; // fusion is a bytecode-only knob
-        std::string What = "threads=" + std::to_string(Threads) +
-                           (Engine == ExecEngine::AST ? "/ast" : "/bc") +
-                           (Fuse ? "/fuse=on" : "/fuse=off");
-        EngineRun Run = runWith(P, *CR.M, MC, Engine, Fuse);
-        ASSERT_TRUE(Run.R.OK) << What << ": " << Run.R.Error;
-        EXPECT_NE(Run.Profile.find("\"sites\""), std::string::npos) << What;
-        if (Baseline.empty())
-          Baseline = Run.Profile;
-        else
-          EXPECT_EQ(Baseline, Run.Profile) << What << ": profile diverges";
-      }
+      std::string What = "threads=" + std::to_string(Threads) +
+                         (Engine == ExecEngine::AST ? "/ast" : "/bc");
+      EngineRun Run = runWith(P, *CR.M, MC, Engine);
+      ASSERT_TRUE(Run.R.OK) << What << ": " << Run.R.Error;
+      EXPECT_NE(Run.Profile.find("\"sites\""), std::string::npos) << What;
+      if (Baseline.empty())
+        Baseline = Run.Profile;
+      else
+        EXPECT_EQ(Baseline, Run.Profile) << What << ": profile diverges";
     }
   }
   EXPECT_FALSE(Baseline.empty());
@@ -464,11 +405,10 @@ TEST(EngineErrorTest, IdenticalDiagnostics) {
 // Switch dispatch: lowering-mode selection and edge semantics. The observable
 // contract is the AST walker's first-match scan over the source-ordered
 // cases; these tests pin it across dense jump tables, sorted fallback and
-// the linear path, under both dispatch loops and both streams.
+// the linear path.
 //===----------------------------------------------------------------------===//
 
-/// The BcSwitchMode annotation of the single Switch instruction in \p Fn,
-/// asserting the fused stream carries the same annotation.
+/// The BcSwitchMode annotation of the single Switch instruction in \p Fn.
 BcSwitchMode switchModeOf(const Module &M, const std::string &Fn) {
   const BytecodeModule &BM = getOrLowerBytecode(M);
   for (const auto &BF : BM.Funcs) {
@@ -477,11 +417,6 @@ BcSwitchMode switchModeOf(const Module &M, const std::string &Fn) {
     for (size_t I = 0; I != BF->Code.size(); ++I) {
       if (BF->Code[I].Op != BcOp::Switch)
         continue;
-      if (!BF->FusedCode.empty()) {
-        EXPECT_EQ(BF->FusedCode[I].Op, BcOp::Switch) << Fn;
-        EXPECT_EQ(BF->FusedCode[I].Sub, BF->Code[I].Sub)
-            << Fn << ": fused stream lost the dispatch annotation";
-      }
       return static_cast<BcSwitchMode>(BF->Code[I].Sub);
     }
   }
@@ -490,9 +425,8 @@ BcSwitchMode switchModeOf(const Module &M, const std::string &Fn) {
 }
 
 /// Compiles (unoptimized) and runs \p Src under the AST walker and the
-/// bytecode engine at {fuse on/off} x {goto/switch}, asserting all five
-/// runs are indistinguishable; returns the compile for lowering checks
-/// plus the agreed exit value via \p Exit.
+/// bytecode engine, asserting both runs are indistinguishable; returns the
+/// compile for lowering checks plus the agreed exit value via \p Exit.
 CompileResult runSwitchProgram(const std::string &Src, const std::string &What,
                                int64_t &Exit) {
   Pipeline P(PipelineOptions::simple());
@@ -504,13 +438,7 @@ CompileResult runSwitchProgram(const std::string &Src, const std::string &What,
   MC.NumNodes = 2;
   auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
   EXPECT_TRUE(Ast.R.OK) << What << ": " << Ast.R.Error;
-  for (bool Fuse : {true, false})
-    for (BcDispatch D : {BcDispatch::ComputedGoto, BcDispatch::Switch}) {
-      auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode, Fuse, D);
-      expectIdentical(Ast, Bc,
-                      What + "/fuse=" + (Fuse ? "on" : "off") + "/dispatch=" +
-                          (D == BcDispatch::ComputedGoto ? "goto" : "switch"));
-    }
+  expectIdentical(Ast, runWith(P, *CR.M, MC, ExecEngine::Bytecode), What);
   Exit = Ast.R.ExitValue.I;
   return CR;
 }

@@ -93,6 +93,54 @@ TEST(LexerTest, ReportsBadCharacters) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+// Recovery from bad characters must run in constant stack however long the
+// flood is: at one stack frame per character, ~50k of them overflow it.
+TEST(LexerTest, FloodOfBadCharactersEndsInDiagnostics) {
+  const size_t N = 200000;
+  std::string Src;
+  for (size_t I = 0; I != N; ++I)
+    Src += "#^|"[I % 3];
+  Src += "\nint main() { return 0; }";
+  DiagnosticsEngine Diags;
+  auto Toks = lex(Src, Diags);
+  EXPECT_EQ(Diags.errorCount(), N);
+  ASSERT_FALSE(Diags.all().empty());
+  EXPECT_EQ(Diags.all()[0].str(), "1:1: error: unexpected character '#'");
+  // The valid program after the flood still lexes: int main ( ) { return
+  // 0 ; } plus Eof.
+  ASSERT_EQ(Toks.size(), 10u);
+  EXPECT_EQ(Toks[0].Kind, TokKind::KwInt);
+  EXPECT_EQ(Toks[0].Loc.Line, 2u);
+}
+
+// peek() reads '\0' at the end of input, so an embedded NUL byte must be
+// told apart from it and diagnosed at the byte, wherever it appears —
+// otherwise it silently ends the source.
+TEST(LexerTest, NulByteIsALocatedError) {
+  using namespace std::string_literals;
+  // Truncated at the NUL, this would compile and return 7.
+  DiagnosticsEngine Trailing;
+  compileToSimple("int main(){return 7;}\0garbage"s, Trailing);
+  ASSERT_TRUE(Trailing.hasErrors());
+  EXPECT_EQ(Trailing.all()[0].str(), "1:22: error: null character in source");
+
+  // Truncated, this would hide main ("entry function 'main' not found").
+  DiagnosticsEngine Hidden;
+  compileToSimple("int helper(){return 1;}\0int main(){return 7;}"s, Hidden);
+  ASSERT_TRUE(Hidden.hasErrors());
+  EXPECT_EQ(Hidden.all()[0].str(), "1:24: error: null character in source");
+  EXPECT_EQ(Hidden.errorCount(), 1u) << Hidden.str();
+
+  // Inside comments too; neither comment is cut short by it.
+  DiagnosticsEngine InComments;
+  auto Toks = lex("// a\0b\nx /* c\0d */ y"s, InComments);
+  EXPECT_EQ(InComments.str(), "1:5: error: null character in source\n"
+                              "2:7: error: null character in source\n");
+  ASSERT_EQ(Toks.size(), 3u); // x y Eof
+  EXPECT_EQ(Toks[0].Text, "x");
+  EXPECT_EQ(Toks[1].Text, "y");
+}
+
 TEST(LexerTest, UnterminatedComment) {
   DiagnosticsEngine Diags;
   lex("/* never closed", Diags);

@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "driver/Pipeline.h"
 #include "support/Trace.h"
 
@@ -260,10 +259,4 @@ TEST(PipelineTest, RequestDrivenCompileAndRun) {
   ASSERT_TRUE(ViaConfig.OK);
   EXPECT_EQ(R.TimeNs, ViaConfig.TimeNs);
   EXPECT_EQ(R.Counters.total(), ViaConfig.Counters.total());
-
-  // And to the deprecated Driver.h shim, which forwards here.
-  RunResult ViaShim = compileAndRun(Program, machine(2),
-                                    PipelineOptions::optimized());
-  ASSERT_TRUE(ViaShim.OK);
-  EXPECT_EQ(R.TimeNs, ViaShim.TimeNs);
 }

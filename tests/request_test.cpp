@@ -89,10 +89,6 @@ TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   Engine.Engine = ExecEngine::AST;
   EXPECT_NE(Base.keyBytes(), Engine.keyBytes());
 
-  RunRequest Fuse = Base;
-  Fuse.Fuse = !Base.Fuse;
-  EXPECT_NE(Base.keyBytes(), Fuse.keyBytes());
-
   RunRequest Seq = Base;
   Seq.Sequential = true;
   EXPECT_NE(Base.keyBytes(), Seq.keyBytes());
@@ -117,8 +113,7 @@ TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
 TEST(RunRequestKeyTest, NetworkModelFieldsPerturbKey) {
   // Topology, distribution and the network parameters change *simulated*
   // results (contention reorders completion times; the distribution moves
-  // data between owners) — unlike engine/fuse/dispatch, every one of them
-  // must split the cache.
+  // data between owners) — every one of them must split the cache.
   RunRequest Base;
 
   RunRequest Topo = Base;
@@ -160,26 +155,9 @@ TEST(RunRequestKeyTest, InstrumentationDoesNotPerturbKey) {
   EXPECT_EQ(A.keyBytes(), B.keyBytes());
 }
 
-TEST(RunRequestKeyTest, DispatchDoesNotPerturbKey) {
-  // Dispatch selects the bytecode inner loop, which is bit-identical by
-  // contract (the engine equivalence sweep pins it) — a request served on
-  // a portable-switch build and a computed-goto build must map to the
-  // same cached artifact, the same contract as LowerThreads/PassThreads.
-  RunRequest A;
-  RunRequest B = A;
-  B.Dispatch = A.Dispatch == BcDispatch::ComputedGoto
-                   ? BcDispatch::Switch
-                   : BcDispatch::ComputedGoto;
-  EXPECT_EQ(A.keyBytes(), B.keyBytes());
-  EXPECT_EQ(A.key(), B.key());
-  // But the effective machine still honors the request's choice.
-  EXPECT_EQ(B.machine().Dispatch, B.Dispatch);
-}
-
 TEST(RunRequestKeyTest, MetricsExpositionIsKeyNeutral) {
-  // Metrics are host-side observability, same contract as engine / fuse /
-  // dispatch / trace sinks: no metrics or exposition option may be request
-  // content. First, the option table must not publish one — --metrics,
+  // Metrics are host-side observability, same contract as trace sinks: no
+  // metrics or exposition option may be request content. First, the option table must not publish one — --metrics,
   // --profile-diff and the serve "metrics" op are driver-surface flags.
   for (const RequestOption &O : requestOptions())
     EXPECT_EQ(std::string(O.Name).find("metric"), std::string::npos)
@@ -216,7 +194,7 @@ TEST(RunRequestTest, DefaultsMirrorMachineConfig) {
   RunRequest R;
   MachineConfig MC;
   EXPECT_EQ(R.Engine, MC.Engine);
-  EXPECT_EQ(R.Fuse, MC.Fuse);
+  EXPECT_EQ(R.Topo, MC.Topo);
   EXPECT_EQ(R.MaxSteps, MC.MaxSteps);
   EXPECT_EQ(R.EUQuantum, MC.EUQuantum);
   EXPECT_EQ(R.machine().Costs.NetDelay, MC.Costs.NetDelay);
@@ -234,8 +212,6 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_EQ(R.Nodes, 8u);
   EXPECT_TRUE(applyRequestOption(C, R, "engine", "ast", Err)) << Err;
   EXPECT_EQ(R.Engine, ExecEngine::AST);
-  EXPECT_TRUE(applyRequestOption(C, R, "fuse", "off", Err)) << Err;
-  EXPECT_FALSE(R.Fuse);
   EXPECT_TRUE(applyRequestOption(C, R, "no-opt", "", Err)) << Err;
   EXPECT_FALSE(C.Optimize);
   EXPECT_TRUE(applyRequestOption(C, R, "locality", "on", Err)) << Err;
@@ -252,10 +228,6 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_EQ(R.EUQuantum, 16u);
   EXPECT_TRUE(applyRequestOption(C, R, "seq", "on", Err)) << Err;
   EXPECT_TRUE(R.Sequential);
-  EXPECT_TRUE(applyRequestOption(C, R, "dispatch", "switch", Err)) << Err;
-  EXPECT_EQ(R.Dispatch, BcDispatch::Switch);
-  EXPECT_TRUE(applyRequestOption(C, R, "dispatch", "goto", Err)) << Err;
-  EXPECT_EQ(R.Dispatch, BcDispatch::ComputedGoto);
   EXPECT_TRUE(applyRequestOption(C, R, "topology", "torus2d", Err)) << Err;
   EXPECT_EQ(R.Topo, Topology::Torus2D);
   EXPECT_TRUE(applyRequestOption(C, R, "distribution", "block", Err)) << Err;
@@ -278,8 +250,6 @@ TEST(OptionTableTest, RejectsMalformedInput) {
   EXPECT_FALSE(applyRequestOption(C, R, "engine", "quantum", Err));
   EXPECT_FALSE(applyRequestOption(C, R, "nodes", "0", Err));
   EXPECT_FALSE(applyRequestOption(C, R, "nodes", "abc", Err));
-  EXPECT_FALSE(applyRequestOption(C, R, "fuse", "maybe", Err));
-  EXPECT_FALSE(applyRequestOption(C, R, "dispatch", "jump", Err));
   // Oversized machines get a diagnostic naming the ceiling, not an
   // allocation storm.
   EXPECT_FALSE(applyRequestOption(C, R, "nodes",
@@ -296,17 +266,34 @@ TEST(OptionTableTest, RejectsMalformedInput) {
   EXPECT_FALSE(applyRequestOption(C, R, "dist-block", "0", Err));
 }
 
-TEST(OptionTableTest, EnvironmentGoesThroughTheSameTable) {
-  // EARTHCC_FUSE is declared on the `fuse` entry: applyRequestEnv must
-  // read it and apply the same setter the CLI and the JSON protocol use.
-  ASSERT_EQ(setenv("EARTHCC_FUSE", "off", 1), 0);
+TEST(OptionTableTest, RetiredOptionsAreUnknown) {
+  // Superinstruction fusion and the computed-goto loop were retired: their
+  // knobs take the ordinary unknown-option path on every surface (the CLI
+  // and --serve both report this message), whatever the value.
   CompileRequest C;
   RunRequest R;
-  R.Fuse = true;
+  for (const char *Name : {"fuse", "dispatch"}) {
+    for (const char *Value : {"", "on", "off", "goto", "switch"}) {
+      std::string Err;
+      EXPECT_FALSE(applyRequestOption(C, R, Name, Value, Err)) << Name;
+      EXPECT_EQ(Err, std::string("unknown option '") + Name + "'");
+    }
+  }
+  EXPECT_EQ(RunRequest().keyBytes().find("fuse"), std::string::npos);
+}
+
+TEST(OptionTableTest, EnvironmentGoesThroughTheSameTable) {
+  // EARTHCC_PASS_THREADS is declared on the `pass-threads` entry:
+  // applyRequestEnv must read it and apply the same setter the CLI and the
+  // JSON protocol use.
+  ASSERT_EQ(setenv("EARTHCC_PASS_THREADS", "3", 1), 0);
+  CompileRequest C;
+  RunRequest R;
+  C.PassThreads = 1;
   std::string Err;
   EXPECT_TRUE(applyRequestEnv(C, R, Err)) << Err;
-  EXPECT_FALSE(R.Fuse);
-  ASSERT_EQ(unsetenv("EARTHCC_FUSE"), 0);
+  EXPECT_EQ(C.PassThreads, 3u);
+  ASSERT_EQ(unsetenv("EARTHCC_PASS_THREADS"), 0);
 }
 
 TEST(OptionTableTest, TableEntriesAreWellFormed) {

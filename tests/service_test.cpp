@@ -5,7 +5,7 @@
 // The service's contracts, each pinned under concurrency where it matters:
 //
 //  - Cache identity: requests differing in a result-determining option
-//    (engine, fuse, node count, optimization) are distinct artifacts;
+//    (engine, node count, optimization) are distinct artifacts;
 //    requests differing only in instrumentation (trace sink) share one.
 //  - Single-flight: N concurrent identical requests execute the pipeline
 //    exactly once — the others join the in-flight computation.
@@ -118,7 +118,7 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_TRUE(R2.CompileCacheHit);
   EXPECT_EQ(R2.Sim.get(), R1.Sim.get());
 
-  // Engine, fuse and node count are keyed: each is a distinct simulated
+  // Engine and node count are keyed: each is a distinct simulated
   // artifact (conservative identity), even though results are equal.
   RunRequest Ast = Base;
   Ast.Engine = ExecEngine::AST;
@@ -127,10 +127,6 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_TRUE(RAst.CompileCacheHit); // same compiled module underneath
   EXPECT_EQ(RAst.Sim->TimeNs, R1.Sim->TimeNs);
   EXPECT_EQ(RAst.Sim->Counters.total(), R1.Sim->Counters.total());
-
-  RunRequest NoFuse = Base;
-  NoFuse.Fuse = !Base.Fuse;
-  EXPECT_FALSE(S.submitRun(CReq, NoFuse).get().CacheHit);
 
   RunRequest EightNodes = Base;
   EightNodes.Nodes = 8;
@@ -146,7 +142,7 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_EQ(RTraced.Sim.get(), R1.Sim.get());
 
   ServiceStats St = S.stats();
-  EXPECT_EQ(St.RunExecutions, 4u); // base, ast, nofuse, 8 nodes
+  EXPECT_EQ(St.RunExecutions, 3u); // base, ast, 8 nodes
   EXPECT_EQ(St.CompileExecutions, 1u);
 }
 
@@ -379,7 +375,7 @@ TEST(ServeMetricsTest, GlobalRegistryCarriesStageHistogramsAcrossSessions) {
   // Without an explicit registry the serve loop records into the
   // process-wide one — the same registry Pipeline stages and engines use.
   // A first session executes a run; a second session's "metrics" op then
-  // reports those per-stage wall-ns histograms and engine dispatch totals
+  // reports those per-stage wall-ns histograms and engine run totals
   // alongside its own (empty) cache counters.
   ServeOptions Opts;
   Opts.Service.Workers = 1;

@@ -45,6 +45,20 @@ TEST(DiagnosticsTest, CountsErrorsOnly) {
   EXPECT_EQ(Diags.all().size(), 3u);
 }
 
+TEST(DiagnosticsTest, RecordsABoundedNumberOfErrors) {
+  DiagnosticsEngine Diags;
+  const unsigned Max = DiagnosticsEngine::MaxRecordedErrors;
+  for (unsigned I = 0; I != 3 * Max; ++I)
+    Diags.error(SourceLoc(1, I + 1), "bad");
+  EXPECT_EQ(Diags.errorCount(), 3 * Max); // Every error still counts.
+  ASSERT_EQ(Diags.all().size(), Max + 1u);
+  EXPECT_EQ(Diags.all()[Max - 1].Kind, DiagKind::Error);
+  EXPECT_EQ(Diags.all()[Max].Kind, DiagKind::Note);
+  EXPECT_EQ(Diags.all()[Max].str(),
+            "1:" + std::to_string(Max + 1) +
+                ": note: too many errors; later errors are not shown");
+}
+
 TEST(DiagnosticsTest, Rendering) {
   DiagnosticsEngine Diags;
   Diags.error(SourceLoc(7, 3), "unexpected token");
