@@ -8,9 +8,9 @@
 
 #include "simple/CommSites.h"
 #include "support/CommProfiler.h"
+#include "support/Json.h"
 #include "support/Remark.h"
 #include "support/TablePrinter.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <map>
@@ -146,10 +146,10 @@ std::string earthcc::profileReportJson(const Module &M,
       OS << ", ";
     First = false;
     OS << "{\"site\": " << S.Id << ", \"function\": \""
-       << jsonEscape(S.Fn->name()) << "\", \"line\": " << S.Loc.Line
+       << json::escape(S.Fn->name()) << "\", \"line\": " << S.Loc.Line
        << ", \"col\": " << S.Loc.Col << ", \"op\": \""
        << commSiteKindName(S.Kind) << "\", \"access\": \""
-       << jsonEscape(S.Desc) << "\", \"msgs\": " << P.Msgs
+       << json::escape(S.Desc) << "\", \"msgs\": " << P.Msgs
        << ", \"words\": " << P.Words << ", \"local\": " << P.LocalHits
        << ", \"lat_mean_ns\": " << P.latencyMeanNs()
        << ", \"lat_p50_ns\": " << P.latencyPercentileNs(50.0)
@@ -159,7 +159,7 @@ std::string earthcc::profileReportJson(const Module &M,
     if (auto It = RemarkIndex.find(keyOf(S.Fn->name(), S.Loc));
         It != RemarkIndex.end()) {
       for (size_t I = 0; I != It->second.size(); ++I)
-        OS << (I ? ", " : "") << "\"" << jsonEscape(It->second[I]) << "\"";
+        OS << (I ? ", " : "") << "\"" << json::escape(It->second[I]) << "\"";
     }
     OS << "]}";
   }
@@ -175,11 +175,11 @@ std::string earthcc::profileReportJson(const Module &M,
   // topology with real links (ideal stays byte-identical to the v1 schema).
   if (!Prof.netLinks().empty()) {
     const double EndNs = Prof.netEndTimeNs();
-    OS << ", \"network\": {\"topology\": \"" << jsonEscape(Prof.netTopology())
+    OS << ", \"network\": {\"topology\": \"" << json::escape(Prof.netTopology())
        << "\", \"end_ns\": " << EndNs << ", \"links\": [";
     bool FirstLink = true;
     for (const NetLinkStats &L : Prof.netLinks()) {
-      OS << (FirstLink ? "" : ", ") << "{\"name\": \"" << jsonEscape(L.Name)
+      OS << (FirstLink ? "" : ", ") << "{\"name\": \"" << json::escape(L.Name)
          << "\", \"msgs\": " << L.Msgs << ", \"words\": " << L.Words
          << ", \"busy_ns\": " << L.BusyNs << ", \"utilization\": "
          << (EndNs > 0.0 ? L.BusyNs / EndNs : 0.0)

@@ -97,6 +97,10 @@ struct Expr {
   PlaceKind Place = PlaceKind::None;
   ExprPtr PlaceArg;
 
+  /// Operator nodes on the longest path down to a leaf (0 for a leaf). The
+  /// parser sets it and keeps it within Parser::MaxNestingDepth.
+  unsigned Height = 0;
+
   explicit Expr(Kind K, SourceLoc Loc) : K(K), Loc(Loc) {}
 };
 

@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 
@@ -335,9 +336,17 @@ Token Lexer::next() {
       return makeToken(TokKind::At, Loc);
     case ':':
       return makeToken(TokKind::Colon, Loc);
-    default:
-      Diags.error(Loc, std::string("unexpected character '") + C + "'");
+    default: {
+      // Bytes outside printable ASCII are spelled by code, so the message
+      // stays valid UTF-8 (a serve response quotes it) and no control byte
+      // reaches a terminal raw.
+      unsigned char U = static_cast<unsigned char>(C);
+      char Spelled[8];
+      std::snprintf(Spelled, sizeof(Spelled),
+                    U >= 0x20 && U <= 0x7e ? "%c" : "\\x%02x", U);
+      Diags.error(Loc, std::string("unexpected character '") + Spelled + "'");
       continue;
+    }
     }
   }
 }

@@ -6,7 +6,9 @@
 
 #include "frontend/Parser.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace earthcc;
 using namespace earthcc::ast;
@@ -27,9 +29,40 @@ bool Parser::accept(TokKind K) {
 bool Parser::expect(TokKind K, const char *Context) {
   if (accept(K))
     return true;
-  Diags.error(cur().Loc, std::string("expected ") + tokKindName(K) + " " +
-                             Context + ", found " + tokKindName(cur().Kind));
+  error(cur().Loc, std::string("expected ") + tokKindName(K) + " " + Context +
+                       ", found " + tokKindName(cur().Kind));
   return false;
+}
+
+void Parser::error(SourceLoc Loc, const std::string &Msg) {
+  if (!GaveUp)
+    Diags.error(Loc, Msg);
+}
+
+bool Parser::tooDeep(SourceLoc Loc) {
+  error(Loc, "nesting exceeds the limit of " +
+                 std::to_string(MaxNestingDepth) + " levels");
+  GaveUp = true;
+  // At Eof every parse loop ends and nothing descends any further.
+  Pos = Tokens.size() - 1;
+  return false;
+}
+
+ExprPtr Parser::sealed(ExprPtr E) {
+  unsigned Operands = 0;
+  auto Take = [&Operands](const ExprPtr &C) {
+    if (C)
+      Operands = std::max(Operands, C->Height);
+  };
+  Take(E->Lhs);
+  Take(E->Rhs);
+  Take(E->PlaceArg);
+  for (const ExprPtr &A : E->Args)
+    Take(A);
+  E->Height = Operands + 1;
+  if (E->Height > MaxNestingDepth)
+    tooDeep(E->Loc);
+  return E;
 }
 
 void Parser::syncToStmtBoundary() {
@@ -83,7 +116,7 @@ TypeSpec Parser::parseTypeSpec() {
     if (check(TokKind::Identifier))
       TS.StructName = consume().Text;
     else
-      Diags.error(cur().Loc, "expected struct name after 'struct'");
+      error(cur().Loc, "expected struct name after 'struct'");
     break;
   }
   case TokKind::Identifier:
@@ -91,7 +124,7 @@ TypeSpec Parser::parseTypeSpec() {
     TS.StructName = consume().Text;
     break;
   default:
-    Diags.error(cur().Loc, "expected a type");
+    error(cur().Loc, "expected a type");
     break;
   }
 
@@ -121,8 +154,8 @@ TranslationUnit Parser::parseUnit() {
     parseTopLevel(Unit);
     if (Pos == Before) {
       // Ensure forward progress even on malformed input.
-      Diags.error(cur().Loc, "unexpected token at top level: " +
-                                 std::string(tokKindName(cur().Kind)));
+      error(cur().Loc, "unexpected token at top level: " +
+                           std::string(tokKindName(cur().Kind)));
       consume();
     }
   }
@@ -139,7 +172,7 @@ void Parser::parseTopLevel(TranslationUnit &Unit) {
     parseFunctionOrGlobal(Unit);
     return;
   }
-  Diags.error(cur().Loc, "expected a declaration");
+  error(cur().Loc, "expected a declaration");
   consume();
 }
 
@@ -157,7 +190,7 @@ StructDecl Parser::parseStructDecl() {
     if (check(TokKind::Identifier))
       FD.Name = consume().Text;
     else
-      Diags.error(cur().Loc, "expected field name");
+      error(cur().Loc, "expected field name");
     expect(TokKind::Semi, "after struct field");
     SD.Fields.push_back(std::move(FD));
   }
@@ -169,7 +202,7 @@ StructDecl Parser::parseStructDecl() {
 void Parser::parseFunctionOrGlobal(TranslationUnit &Unit) {
   TypeSpec TS = parseTypeSpec();
   if (!check(TokKind::Identifier)) {
-    Diags.error(cur().Loc, "expected declarator name");
+    error(cur().Loc, "expected declarator name");
     syncToStmtBoundary();
     return;
   }
@@ -192,7 +225,7 @@ void Parser::parseFunctionOrGlobal(TranslationUnit &Unit) {
         if (check(TokKind::Identifier))
           PD.Name = consume().Text;
         else
-          Diags.error(cur().Loc, "expected parameter name");
+          error(cur().Loc, "expected parameter name");
         FD.Params.push_back(std::move(PD));
       } while (accept(TokKind::Comma));
     }
@@ -236,7 +269,28 @@ StmtPtr Parser::parseBlock(bool Parallel) {
   return Block;
 }
 
+/// True for the statements that hold statements; each opens one nesting
+/// level.
+static bool holdsStatements(TokKind K) {
+  switch (K) {
+  case TokKind::LBrace:
+  case TokKind::LBraceCaret:
+  case TokKind::KwIf:
+  case TokKind::KwWhile:
+  case TokKind::KwDo:
+  case TokKind::KwFor:
+  case TokKind::KwForall:
+  case TokKind::KwSwitch:
+    return true;
+  default:
+    return false;
+  }
+}
+
 StmtPtr Parser::parseStmt() {
+  NestingScope Nest(*this, holdsStatements(cur().Kind));
+  if (!Nest)
+    return nullptr;
   switch (cur().Kind) {
   case TokKind::LBrace:
     return parseBlock(/*Parallel=*/false);
@@ -347,12 +401,12 @@ StmtPtr Parser::parseSwitch() {
         if (Negative)
           Case.Value = -Case.Value;
       } else {
-        Diags.error(cur().Loc, "expected integer case label");
+        error(cur().Loc, "expected integer case label");
       }
     } else if (accept(TokKind::KwDefault)) {
       Case.IsDefault = true;
     } else {
-      Diags.error(cur().Loc, "expected 'case' or 'default' in switch");
+      error(cur().Loc, "expected 'case' or 'default' in switch");
       syncToStmtBoundary();
       continue;
     }
@@ -402,7 +456,7 @@ StmtPtr Parser::parseDeclStmt() {
     if (check(TokKind::Identifier))
       VD.Name = consume().Text;
     else
-      Diags.error(cur().Loc, "expected variable name");
+      error(cur().Loc, "expected variable name");
     if (accept(TokKind::Eq))
       VD.Init = parseExpr();
     S->Decls.push_back(std::move(VD));
@@ -436,29 +490,26 @@ StmtPtr Parser::parseExprOrAssign() {
 
 ExprPtr Parser::parseExpr() { return parseLOr(); }
 
+ExprPtr Parser::fold(Expr::BinOp Op, ExprPtr Lhs,
+                     ExprPtr (Parser::*Operand)()) {
+  auto B = std::make_unique<Expr>(Expr::Kind::Binary, consume().Loc);
+  B->BOp = Op;
+  B->Lhs = std::move(Lhs);
+  B->Rhs = (this->*Operand)();
+  return sealed(std::move(B));
+}
+
 ExprPtr Parser::parseLOr() {
   ExprPtr E = parseLAnd();
-  while (check(TokKind::PipePipe)) {
-    SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Expr::BinOp::LOr;
-    B->Lhs = std::move(E);
-    B->Rhs = parseLAnd();
-    E = std::move(B);
-  }
+  while (check(TokKind::PipePipe))
+    E = fold(Expr::BinOp::LOr, std::move(E), &Parser::parseLAnd);
   return E;
 }
 
 ExprPtr Parser::parseLAnd() {
   ExprPtr E = parseEquality();
-  while (check(TokKind::AmpAmp)) {
-    SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Expr::BinOp::LAnd;
-    B->Lhs = std::move(E);
-    B->Rhs = parseEquality();
-    E = std::move(B);
-  }
+  while (check(TokKind::AmpAmp))
+    E = fold(Expr::BinOp::LAnd, std::move(E), &Parser::parseEquality);
   return E;
 }
 
@@ -467,12 +518,7 @@ ExprPtr Parser::parseEquality() {
   while (check(TokKind::EqEq) || check(TokKind::NotEq)) {
     Expr::BinOp Op =
         cur().is(TokKind::EqEq) ? Expr::BinOp::Eq : Expr::BinOp::Ne;
-    SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseRelational();
-    E = std::move(B);
+    E = fold(Op, std::move(E), &Parser::parseRelational);
   }
   return E;
 }
@@ -497,12 +543,7 @@ ExprPtr Parser::parseRelational() {
     default:
       return E;
     }
-    SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseAdditive();
-    E = std::move(B);
+    E = fold(Op, std::move(E), &Parser::parseAdditive);
   }
 }
 
@@ -511,12 +552,7 @@ ExprPtr Parser::parseAdditive() {
   while (check(TokKind::Plus) || check(TokKind::Minus)) {
     Expr::BinOp Op =
         cur().is(TokKind::Plus) ? Expr::BinOp::Add : Expr::BinOp::Sub;
-    SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseMultiplicative();
-    E = std::move(B);
+    E = fold(Op, std::move(E), &Parser::parseMultiplicative);
   }
   return E;
 }
@@ -538,40 +574,33 @@ ExprPtr Parser::parseMultiplicative() {
     default:
       return E;
     }
-    SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseUnary();
-    E = std::move(B);
+    E = fold(Op, std::move(E), &Parser::parseUnary);
   }
 }
 
 ExprPtr Parser::parseUnary() {
-  SourceLoc Loc = cur().Loc;
-  if (accept(TokKind::Minus)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::Unary, Loc);
-    U->UOp = Expr::UnOp::Neg;
-    U->Lhs = parseUnary();
-    return U;
+  ExprPtr U;
+  switch (cur().Kind) {
+  case TokKind::Minus:
+  case TokKind::Bang:
+    U = std::make_unique<Expr>(Expr::Kind::Unary, cur().Loc);
+    U->UOp = check(TokKind::Minus) ? Expr::UnOp::Neg : Expr::UnOp::Not;
+    break;
+  case TokKind::Star:
+    U = std::make_unique<Expr>(Expr::Kind::Deref, cur().Loc);
+    break;
+  case TokKind::Amp:
+    U = std::make_unique<Expr>(Expr::Kind::AddrOf, cur().Loc);
+    break;
+  default:
+    return parsePostfix();
   }
-  if (accept(TokKind::Bang)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::Unary, Loc);
-    U->UOp = Expr::UnOp::Not;
-    U->Lhs = parseUnary();
+  NestingScope Nest(*this);
+  if (!Nest)
     return U;
-  }
-  if (accept(TokKind::Star)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::Deref, Loc);
-    U->Lhs = parseUnary();
-    return U;
-  }
-  if (accept(TokKind::Amp)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::AddrOf, Loc);
-    U->Lhs = parseUnary();
-    return U;
-  }
-  return parsePostfix();
+  consume();
+  U->Lhs = parseUnary();
+  return sealed(std::move(U));
 }
 
 ExprPtr Parser::parsePostfix() {
@@ -585,18 +614,21 @@ ExprPtr Parser::parsePostfix() {
       if (check(TokKind::Identifier))
         M->Name = consume().Text;
       else
-        Diags.error(cur().Loc, "expected field name after member operator");
+        error(cur().Loc, "expected field name after member operator");
       M->Lhs = std::move(E);
-      E = std::move(M);
+      E = sealed(std::move(M));
       continue;
     }
     if (check(TokKind::LParen)) {
       // Calls are only valid on bare identifiers in this dialect.
       if (!E || E->K != Expr::Kind::Ident) {
-        Diags.error(cur().Loc, "called object is not a function name");
+        error(cur().Loc, "called object is not a function name");
         consume();
         continue;
       }
+      NestingScope Nest(*this);
+      if (!Nest)
+        return E;
       SourceLoc Loc = consume().Loc;
       auto C = std::make_unique<Expr>(Expr::Kind::Call, Loc);
       C->Name = E->Name;
@@ -623,11 +655,11 @@ ExprPtr Parser::parsePostfix() {
           consume();
           C->Place = Expr::PlaceKind::Home;
         } else {
-          Diags.error(cur().Loc,
-                      "expected OWNER_OF(...), node(...) or HOME after '@'");
+          error(cur().Loc,
+                "expected OWNER_OF(...), node(...) or HOME after '@'");
         }
       }
-      E = std::move(C);
+      E = sealed(std::move(C));
       continue;
     }
     return E;
@@ -666,7 +698,7 @@ ExprPtr Parser::parsePrimary() {
     if (check(TokKind::Identifier))
       E->Name = consume().Text;
     else
-      Diags.error(cur().Loc, "expected struct name in sizeof");
+      error(cur().Loc, "expected struct name in sizeof");
     // Tolerate `sizeof(struct X *)`-style pointer sizes: one word anyway.
     while (accept(TokKind::Star))
       E->Name.clear(); // Pointer size: leave Name empty -> 1 word.
@@ -674,14 +706,17 @@ ExprPtr Parser::parsePrimary() {
     return E;
   }
   case TokKind::LParen: {
+    NestingScope Nest(*this);
+    if (!Nest)
+      return std::make_unique<Expr>(Expr::Kind::IntLit, Loc);
     consume();
     ExprPtr E = parseExpr();
     expect(TokKind::RParen, "after parenthesized expression");
     return E;
   }
   default:
-    Diags.error(Loc, std::string("expected an expression, found ") +
-                         tokKindName(cur().Kind));
+    error(Loc, std::string("expected an expression, found ") +
+                   tokKindName(cur().Kind));
     consume();
     return std::make_unique<Expr>(Expr::Kind::IntLit, Loc);
   }

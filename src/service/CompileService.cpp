@@ -252,7 +252,7 @@ CompileService::getOrCompile(const CompileRequest &Req, bool &Hit) {
     Art->Messages = std::move(CR.Messages);
     Art->Stats = std::move(CR.Stats);
     Art->Remarks = std::move(CR.Remarks);
-    if (CR.OK && Cfg.EmitThreadedC)
+    if (CR.OK)
       Art->ThreadedC = P.emitThreadedC(*CR.M);
     Art->Stages = P.stages();
     Art->M = std::move(CR.M);

@@ -68,10 +68,6 @@ struct ServiceConfig {
   /// most recently used artifact survives even when it alone exceeds the
   /// budget.
   size_t CacheBudgetBytes = size_t(256) << 20;
-  /// Emit Threaded-C text into every compiled artifact. On by default —
-  /// codegen is cheap next to the passes and makes the artifact complete;
-  /// switch off for compile-throughput benchmarking of the passes alone.
-  bool EmitThreadedC = true;
   /// Service-level tracing: one 'X' span per handled request (name
   /// svc:compile / svc:run, args: key, hit). Non-owning; events are
   /// emitted under the service lock, so any sink is safe without its own
@@ -119,7 +115,7 @@ struct CompiledArtifact {
   std::shared_ptr<const Module> M;   ///< Verified module (bytecode memoized).
   Statistics Stats;                  ///< Pass counters of the compile.
   RemarkStream Remarks;              ///< Optimizer remarks (profile join).
-  std::string ThreadedC;             ///< Emitted text ("" if disabled/!OK).
+  std::string ThreadedC;             ///< Emitted text ("" if !OK).
   std::vector<StageReport> Stages;   ///< Per-stage wall times + counters.
   std::string KeyHex;                ///< Content address (compile key).
   size_t Bytes = 0;                  ///< Approximate footprint.

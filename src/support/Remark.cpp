@@ -6,7 +6,7 @@
 
 #include "support/Remark.h"
 
-#include "support/Trace.h" // jsonEscape
+#include "support/Json.h"
 
 namespace earthcc {
 
@@ -37,15 +37,15 @@ std::string RemarkStream::json() const {
   for (const Remark &R : Remarks) {
     Out += First ? "" : ", ";
     First = false;
-    Out += "{\"pass\": \"" + jsonEscape(R.Pass) + "\", \"category\": \"" +
-           jsonEscape(R.Category) + "\", \"function\": \"" +
-           jsonEscape(R.Function) + "\", \"loc\": \"" + R.Loc.str() +
-           "\", \"message\": \"" + jsonEscape(R.Message) + "\", \"args\": {";
+    Out += "{\"pass\": \"" + json::escape(R.Pass) + "\", \"category\": \"" +
+           json::escape(R.Category) + "\", \"function\": \"" +
+           json::escape(R.Function) + "\", \"loc\": \"" + R.Loc.str() +
+           "\", \"message\": \"" + json::escape(R.Message) + "\", \"args\": {";
     bool FirstArg = true;
     for (const auto &[K, V] : R.Args) {
       Out += FirstArg ? "" : ", ";
       FirstArg = false;
-      Out += "\"" + jsonEscape(K) + "\": \"" + jsonEscape(V) + "\"";
+      Out += "\"" + json::escape(K) + "\": \"" + json::escape(V) + "\"";
     }
     Out += "}}";
   }

@@ -6,6 +6,8 @@
 
 #include "support/Trace.h"
 
+#include "support/Json.h"
+
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -13,29 +15,6 @@
 using namespace earthcc;
 
 TraceSink::~TraceSink() = default;
-
-std::string earthcc::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':  Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\t': Out += "\\t"; break;
-    case '\r': Out += "\\r"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 /// Renders a timestamp/duration in microseconds with fixed 3-decimal
 /// precision, so nanosecond-granular simulated times round-trip exactly and
@@ -50,8 +29,8 @@ void ChromeTraceSink::write(std::ostream &OS) const {
   OS << "[\n";
   for (size_t I = 0; I != Events.size(); ++I) {
     const TraceEvent &E = Events[I];
-    OS << "{\"name\":\"" << jsonEscape(E.Name) << "\",\"cat\":\""
-       << jsonEscape(E.Cat) << "\",\"ph\":\"" << E.Ph
+    OS << "{\"name\":\"" << json::escape(E.Name) << "\",\"cat\":\""
+       << json::escape(E.Cat) << "\",\"ph\":\"" << E.Ph
        << "\",\"ts\":" << formatUs(E.TsNs);
     if (E.Ph == 'X')
       OS << ",\"dur\":" << formatUs(E.DurNs);
@@ -62,9 +41,9 @@ void ChromeTraceSink::write(std::ostream &OS) const {
       OS << ",\"args\":{";
       for (size_t J = 0; J != E.Args.size(); ++J) {
         const TraceEvent::Arg &A = E.Args[J];
-        OS << (J ? "," : "") << "\"" << jsonEscape(A.Key) << "\":";
+        OS << (J ? "," : "") << "\"" << json::escape(A.Key) << "\":";
         if (A.Quoted)
-          OS << "\"" << jsonEscape(A.Val) << "\"";
+          OS << "\"" << json::escape(A.Val) << "\"";
         else
           OS << A.Val;
       }

@@ -119,9 +119,6 @@ private:
   Statistics Counters;
 };
 
-/// Escapes \p S for inclusion in a JSON string literal (quotes excluded).
-std::string jsonEscape(const std::string &S);
-
 } // namespace earthcc
 
 #endif // EARTHCC_SUPPORT_TRACE_H

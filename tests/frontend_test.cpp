@@ -10,6 +10,8 @@
 #include "simple/Printer.h"
 #include "simple/Verifier.h"
 
+#include "DeepNesting.h"
+
 #include <gtest/gtest.h>
 
 using namespace earthcc;
@@ -139,6 +141,20 @@ TEST(LexerTest, NulByteIsALocatedError) {
   ASSERT_EQ(Toks.size(), 3u); // x y Eof
   EXPECT_EQ(Toks[0].Text, "x");
   EXPECT_EQ(Toks[1].Text, "y");
+}
+
+// A diagnostic quotes the offending byte, and a serve response carries the
+// diagnostic, so bytes outside printable ASCII are spelled by code: quoted
+// raw, each byte of the UTF-8 'ÿ' would land alone in the response and make
+// it invalid UTF-8, and control bytes would reach the terminal.
+TEST(LexerTest, NonPrintableBytesAreSpelledByCode) {
+  DiagnosticsEngine Diags;
+  lex("int \xc3\xbf; x\x7f\x01$", Diags);
+  EXPECT_EQ(Diags.str(), "1:5: error: unexpected character '\\xc3'\n"
+                         "1:6: error: unexpected character '\\xbf'\n"
+                         "1:10: error: unexpected character '\\x7f'\n"
+                         "1:11: error: unexpected character '\\x01'\n"
+                         "1:12: error: unexpected character '$'\n");
 }
 
 TEST(LexerTest, UnterminatedComment) {
@@ -271,6 +287,27 @@ TEST(ParserTest, RecoversFromErrors) {
   auto Unit = P.parseUnit();
   EXPECT_TRUE(Diags.hasErrors());
   EXPECT_EQ(Unit.Functions.size(), 2u); // Both functions still parsed.
+}
+
+// Every nesting shape compiles at Parser::MaxNestingDepth. One level past
+// it, and 200,000 levels past it, the parser reports one located error at
+// the first level too deep and builds nothing deeper, so neither it nor a
+// pass recursing over its tree can overflow the stack.
+TEST(ParserTest, NestingLimit) {
+  const size_t Limit = Parser::MaxNestingDepth;
+  ASSERT_EQ(Limit, 256u);
+  for (const DeepShape &S : DeepShapes) {
+    SCOPED_TRACE(S.Name);
+    compileOK(S.program(Limit));
+    for (size_t N : {Limit + 1, size_t(200000)}) {
+      DiagnosticsEngine Diags;
+      compileToSimple(S.program(N), Diags);
+      EXPECT_EQ(Diags.str(),
+                "1:" + std::to_string(S.column(Limit + 1)) +
+                    ": error: nesting exceeds the limit of 256 levels\n")
+          << "at " << N << " levels";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -131,4 +131,12 @@ TEST(JsonWriteTest, QuoteEscapesControls) {
   EXPECT_EQ(json::quote("x"), "\"x\"");
   EXPECT_EQ(json::escape(std::string("\x01", 1)), "\\u0001");
   EXPECT_EQ(json::escape("tab\there"), "tab\\there");
+  // The trace, remark and profile writers escape through this one
+  // function too.
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json::escape("line\nbreak\ttab\rc"), "line\\nbreak\\ttab\\rc");
+  EXPECT_EQ(json::escape("bs\bff\f"), "bs\\bff\\f");
+  EXPECT_EQ(json::escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json::escape(std::string("ctrl\x1f", 5)), "ctrl\\u001f");
 }

@@ -5,7 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "frontend/Parser.h"
 #include "support/Trace.h"
+
+#include "DeepNesting.h"
 
 #include <gtest/gtest.h>
 
@@ -237,6 +240,28 @@ TEST(PipelineTest, NullSinkRunIsIdenticalToTracedRun) {
             Traced.Counters.ReadData);
   EXPECT_EQ(Sink.stats().get("trace.count.write-data"),
             Traced.Counters.WriteData);
+}
+
+// At Parser::MaxNestingDepth every nesting shape passes every stage: the
+// optimizing passes, both engines (with identical results) and the
+// Threaded-C backend.
+TEST(PipelineTest, DeepestAcceptedNestingRunsEverywhere) {
+  for (const DeepShape &S : DeepShapes) {
+    SCOPED_TRACE(S.Name);
+    Pipeline P(PipelineOptions::optimized());
+    CompileResult CR = P.compile(S.program(Parser::MaxNestingDepth));
+    ASSERT_TRUE(CR.OK) << CR.Messages;
+    MachineConfig AstMC = machine(2);
+    AstMC.Engine = ExecEngine::AST;
+    RunResult Ast = P.run(CR, AstMC);
+    RunResult Bytecode = P.run(CR, machine(2));
+    ASSERT_TRUE(Ast.OK && Bytecode.OK) << Ast.Error << Bytecode.Error;
+    EXPECT_EQ(Ast.ExitValue.I, S.Result);
+    EXPECT_EQ(Bytecode.ExitValue.I, S.Result);
+    EXPECT_EQ(Ast.TimeNs, Bytecode.TimeNs);
+    EXPECT_EQ(Ast.Counters.total(), Bytecode.Counters.total());
+    EXPECT_NE(P.emitThreadedC(*CR.M).find("main"), std::string::npos);
+  }
 }
 
 TEST(PipelineTest, RequestDrivenCompileAndRun) {

@@ -112,13 +112,6 @@ TEST(StatisticsTest, JsonSerialization) {
   EXPECT_EQ(Stats.json(), "{\"a.first\": 1, \"b.second\": 2}");
 }
 
-TEST(TraceTest, JsonEscape) {
-  EXPECT_EQ(jsonEscape("plain"), "plain");
-  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(jsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(jsonEscape(std::string("ctrl\x01", 5)), "ctrl\\u0001");
-}
-
 TEST(TraceTest, CounterSinkAggregates) {
   CounterTraceSink Sink;
   TraceEvent Read;
