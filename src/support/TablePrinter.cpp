@@ -52,11 +52,15 @@ void TablePrinter::print(std::ostream &OS) const {
   printRule();
   printCells(Header);
   printRule();
-  for (const Row &R : Rows) {
-    if (R.IsRule)
+  // A trailing rule is dropped: the closing border replaces it.
+  size_t End = Rows.size();
+  if (End && Rows[End - 1].IsRule)
+    --End;
+  for (size_t I = 0; I != End; ++I) {
+    if (Rows[I].IsRule)
       printRule();
     else
-      printCells(R.Cells);
+      printCells(Rows[I].Cells);
   }
   printRule();
 }

@@ -27,7 +27,8 @@ public:
   /// Appends one data row; short rows are padded with empty cells.
   void addRow(std::vector<std::string> Cells);
 
-  /// Appends a horizontal rule between the rows added before and after.
+  /// Appends a horizontal rule between the rows added before and after. A
+  /// trailing rule is not printed twice: the closing border replaces it.
   void addRule();
 
   /// Renders the table to \p OS.

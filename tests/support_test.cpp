@@ -201,6 +201,15 @@ TEST(TablePrinterTest, PadsShortRows) {
   EXPECT_NE(Out.find("| 1 |"), std::string::npos);
 }
 
+TEST(TablePrinterTest, TrailingRuleIsTheClosingBorder) {
+  TablePrinter T({"a"});
+  T.addRow({"1"});
+  T.addRule();
+  T.addRow({"2"});
+  T.addRule();
+  EXPECT_EQ(T.str(), "+---+\n| a |\n+---+\n| 1 |\n+---+\n| 2 |\n+---+\n");
+}
+
 TEST(TablePrinterTest, FormatsDoubles) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(2.0, 1), "2.0");
