@@ -13,11 +13,11 @@
 /// the ROADMAP's profile-guided placement item needs before any profile can
 /// be fed back into compilation.
 ///
-/// Round-trip contract: saveProfileJson() is a pure function of the loaded
-/// data with one canonical number encoding (the json::Value writer), so
-/// save(load(S)) is byte-stable once a document has passed through it. The
-/// original --profile=json bytes may differ only in number formatting
-/// (stream precision vs %.17g); the *values* are preserved exactly.
+/// Round-trip contract: --profile=json *is* saveProfileJson() of the joined
+/// ProfileData, and saveProfileJson() has one canonical number encoding
+/// (the json::Value writer: integers exact, other doubles at %.17g), so
+/// save(load(S)) reproduces S byte for byte and every value is preserved
+/// exactly.
 ///
 /// Diff join key: site ids are stable for one compiled module but different
 /// optimization levels produce different site sets (hoisting and blocking
@@ -85,8 +85,8 @@ struct ProfileData {
 bool loadProfileJson(std::string_view Text, ProfileData &Out,
                      std::string &Err);
 
-/// Serializes \p P in the profileReportJson field order with the canonical
-/// json::Value number encoding. save(load(S)) is byte-stable.
+/// Serializes \p P with the canonical json::Value number encoding; this is
+/// the --profile=json document. save(load(S)) == S.
 std::string saveProfileJson(const ProfileData &P);
 
 /// Renders an aligned per-site delta table between two profiles: msgs,

@@ -8,7 +8,6 @@
 
 #include "simple/CommSites.h"
 #include "support/CommProfiler.h"
-#include "support/Json.h"
 #include "support/Remark.h"
 #include "support/TablePrinter.h"
 
@@ -54,73 +53,121 @@ std::string joinCategories(const std::vector<std::string> &Cats) {
   return Out;
 }
 
-bool siteActive(const SiteProfile &P) { return P.Msgs + P.LocalHits != 0; }
+/// The joined document over \p Table, the module's comm sites: one row per
+/// active site the profiler knows, in site-id order.
+ProfileData buildFrom(const CommSiteTable &Table, const CommProfiler &Prof,
+                      const RemarkStream *Remarks) {
+  auto RemarkIndex = indexRemarks(Remarks);
+  ProfileData P;
+  for (const CommSite &S : Table.sites()) {
+    if (static_cast<unsigned>(S.Id) >= Prof.numSites())
+      continue; // Module mutated since the profiled run; skip the tail.
+    const SiteProfile &SP = Prof.site(static_cast<unsigned>(S.Id));
+    if (SP.Msgs + SP.LocalHits == 0)
+      continue;
+    ProfileSiteRow Row;
+    Row.Site = S.Id;
+    Row.Function = S.Fn->name();
+    Row.Line = S.Loc.Line;
+    Row.Col = S.Loc.Col;
+    Row.Op = commSiteKindName(S.Kind);
+    Row.Access = S.Desc;
+    Row.Msgs = SP.Msgs;
+    Row.Words = SP.Words;
+    Row.Local = SP.LocalHits;
+    Row.LatMeanNs = SP.latencyMeanNs();
+    Row.LatP50Ns = SP.latencyPercentileNs(50.0);
+    Row.LatP90Ns = SP.latencyPercentileNs(90.0);
+    Row.LatMinNs = SP.LatMinNs;
+    Row.LatMaxNs = SP.LatMaxNs;
+    if (auto It = RemarkIndex.find(keyOf(S.Fn->name(), S.Loc));
+        It != RemarkIndex.end())
+      Row.Remarks = It->second;
+    P.Sites.push_back(std::move(Row));
+  }
+  P.TotalMsgs = Prof.totalMsgs();
+  for (unsigned From = 0; From != Prof.numNodes(); ++From) {
+    std::vector<uint64_t> Row;
+    for (unsigned To = 0; To != Prof.numNodes(); ++To)
+      Row.push_back(Prof.trafficWords(From, To));
+    P.TrafficWords.push_back(std::move(Row));
+  }
+  // Per-link utilization and queue depth exist only when the run used a
+  // topology with real links (the ideal network has none to contend for).
+  if (!Prof.netLinks().empty()) {
+    P.HasNetwork = true;
+    P.NetTopology = Prof.netTopology();
+    P.NetEndNs = Prof.netEndTimeNs();
+    for (const NetLinkStats &L : Prof.netLinks()) {
+      ProfileLinkRow Row;
+      Row.Name = L.Name;
+      Row.Msgs = L.Msgs;
+      Row.Words = L.Words;
+      Row.BusyNs = L.BusyNs;
+      Row.Utilization = P.NetEndNs > 0.0 ? L.BusyNs / P.NetEndNs : 0.0;
+      Row.MaxQueueDepth = L.MaxQueueDepth;
+      P.Links.push_back(std::move(Row));
+    }
+  }
+  return P;
+}
 
 } // namespace
+
+ProfileData earthcc::buildProfileData(const Module &M,
+                                      const CommProfiler &Prof,
+                                      const RemarkStream *Remarks) {
+  return buildFrom(buildCommSiteTable(M), Prof, Remarks);
+}
 
 std::string earthcc::renderProfileReport(const Module &M,
                                          const CommProfiler &Prof,
                                          const RemarkStream *Remarks) {
   CommSiteTable Table = buildCommSiteTable(M);
-  auto RemarkIndex = indexRemarks(Remarks);
+  ProfileData P = buildFrom(Table, Prof, Remarks);
 
   std::ostringstream OS;
   TablePrinter T({"site", "location", "op", "access", "msgs", "words",
                   "local", "mean ns", "p50 ns", "p90 ns", "max ns",
                   "remarks"});
-  size_t Quiet = 0;
-  for (const CommSite &S : Table.sites()) {
-    if (static_cast<unsigned>(S.Id) >= Prof.numSites())
-      continue; // Module mutated since the profiled run; skip the tail.
-    const SiteProfile &P = Prof.site(static_cast<unsigned>(S.Id));
-    if (!siteActive(P)) {
-      ++Quiet;
-      continue;
-    }
-    std::string Cats;
-    if (auto It = RemarkIndex.find(keyOf(S.Fn->name(), S.Loc));
-        It != RemarkIndex.end())
-      Cats = joinCategories(It->second);
-    T.addRow({std::to_string(S.Id), S.Fn->name() + ":" + S.Loc.str(),
-              commSiteKindName(S.Kind), S.Desc, std::to_string(P.Msgs),
-              std::to_string(P.Words), std::to_string(P.LocalHits),
-              TablePrinter::fmt(P.latencyMeanNs(), 0),
-              std::to_string(P.latencyPercentileNs(50.0)),
-              std::to_string(P.latencyPercentileNs(90.0)),
-              std::to_string(P.LatMaxNs), Cats});
+  for (const ProfileSiteRow &S : P.Sites) {
+    T.addRow({std::to_string(S.Site),
+              S.Function + ":" + SourceLoc(S.Line, S.Col).str(), S.Op,
+              S.Access, std::to_string(S.Msgs), std::to_string(S.Words),
+              std::to_string(S.Local), TablePrinter::fmt(S.LatMeanNs, 0),
+              std::to_string(S.LatP50Ns), std::to_string(S.LatP90Ns),
+              std::to_string(S.LatMaxNs), joinCategories(S.Remarks)});
   }
   T.print(OS);
-  OS << "total: " << Prof.totalMsgs() << " remote messages across "
-     << (Table.size() - Quiet) << " active sites (" << Quiet
-     << " sites quiet)\n";
+  const size_t Quiet =
+      std::min<size_t>(Table.size(), Prof.numSites()) - P.Sites.size();
+  OS << "total: " << P.TotalMsgs << " remote messages across "
+     << P.Sites.size() << " active sites (" << Quiet << " sites quiet)\n";
 
-  if (Prof.numNodes() > 1) {
+  if (P.TrafficWords.size() > 1) {
     OS << "\ntraffic matrix (words, row = from node, col = to node):\n";
     TablePrinter TM([&] {
       std::vector<std::string> H{"from\\to"};
-      for (unsigned N = 0; N != Prof.numNodes(); ++N)
+      for (size_t N = 0; N != P.TrafficWords.size(); ++N)
         H.push_back(std::to_string(N));
       return H;
     }());
-    for (unsigned From = 0; From != Prof.numNodes(); ++From) {
+    for (size_t From = 0; From != P.TrafficWords.size(); ++From) {
       std::vector<std::string> Row{std::to_string(From)};
-      for (unsigned To = 0; To != Prof.numNodes(); ++To)
-        Row.push_back(std::to_string(Prof.trafficWords(From, To)));
+      for (uint64_t W : P.TrafficWords[From])
+        Row.push_back(std::to_string(W));
       TM.addRow(std::move(Row));
     }
     TM.print(OS);
   }
 
-  // Per-link occupancy exists only on non-ideal topologies (the ideal
-  // network has no links to contend for).
-  if (!Prof.netLinks().empty()) {
-    const double EndNs = Prof.netEndTimeNs();
-    OS << "\nnetwork links (topology " << Prof.netTopology() << "):\n";
+  if (P.HasNetwork) {
+    OS << "\nnetwork links (topology " << P.NetTopology << "):\n";
     TablePrinter TL({"link", "msgs", "words", "busy ns", "util", "max queue"});
-    for (const NetLinkStats &L : Prof.netLinks())
+    for (const ProfileLinkRow &L : P.Links)
       TL.addRow({L.Name, std::to_string(L.Msgs), std::to_string(L.Words),
                  TablePrinter::fmt(L.BusyNs, 0),
-                 TablePrinter::fmt(EndNs > 0.0 ? L.BusyNs / EndNs : 0.0, 3),
+                 TablePrinter::fmt(L.Utilization, 3),
                  std::to_string(L.MaxQueueDepth)});
     TL.print(OS);
   }
@@ -130,64 +177,9 @@ std::string earthcc::renderProfileReport(const Module &M,
 std::string earthcc::profileReportJson(const Module &M,
                                        const CommProfiler &Prof,
                                        const RemarkStream *Remarks) {
-  CommSiteTable Table = buildCommSiteTable(M);
-  auto RemarkIndex = indexRemarks(Remarks);
-
-  std::ostringstream OS;
-  OS << "{\"version\": " << ProfileJsonVersion << ", \"sites\": [";
-  bool First = true;
-  for (const CommSite &S : Table.sites()) {
-    if (static_cast<unsigned>(S.Id) >= Prof.numSites())
-      continue;
-    const SiteProfile &P = Prof.site(static_cast<unsigned>(S.Id));
-    if (!siteActive(P))
-      continue;
-    if (!First)
-      OS << ", ";
-    First = false;
-    OS << "{\"site\": " << S.Id << ", \"function\": \""
-       << json::escape(S.Fn->name()) << "\", \"line\": " << S.Loc.Line
-       << ", \"col\": " << S.Loc.Col << ", \"op\": \""
-       << commSiteKindName(S.Kind) << "\", \"access\": \""
-       << json::escape(S.Desc) << "\", \"msgs\": " << P.Msgs
-       << ", \"words\": " << P.Words << ", \"local\": " << P.LocalHits
-       << ", \"lat_mean_ns\": " << P.latencyMeanNs()
-       << ", \"lat_p50_ns\": " << P.latencyPercentileNs(50.0)
-       << ", \"lat_p90_ns\": " << P.latencyPercentileNs(90.0)
-       << ", \"lat_min_ns\": " << P.LatMinNs
-       << ", \"lat_max_ns\": " << P.LatMaxNs << ", \"remarks\": [";
-    if (auto It = RemarkIndex.find(keyOf(S.Fn->name(), S.Loc));
-        It != RemarkIndex.end()) {
-      for (size_t I = 0; I != It->second.size(); ++I)
-        OS << (I ? ", " : "") << "\"" << json::escape(It->second[I]) << "\"";
-    }
-    OS << "]}";
-  }
-  OS << "], \"total_msgs\": " << Prof.totalMsgs() << ", \"traffic_words\": [";
-  for (unsigned From = 0; From != Prof.numNodes(); ++From) {
-    OS << (From ? ", [" : "[");
-    for (unsigned To = 0; To != Prof.numNodes(); ++To)
-      OS << (To ? ", " : "") << Prof.trafficWords(From, To);
-    OS << "]";
-  }
-  OS << "]";
-  // Per-link utilization and queue depth, present only when the run used a
-  // topology with real links (ideal stays byte-identical to the v1 schema).
-  if (!Prof.netLinks().empty()) {
-    const double EndNs = Prof.netEndTimeNs();
-    OS << ", \"network\": {\"topology\": \"" << json::escape(Prof.netTopology())
-       << "\", \"end_ns\": " << EndNs << ", \"links\": [";
-    bool FirstLink = true;
-    for (const NetLinkStats &L : Prof.netLinks()) {
-      OS << (FirstLink ? "" : ", ") << "{\"name\": \"" << json::escape(L.Name)
-         << "\", \"msgs\": " << L.Msgs << ", \"words\": " << L.Words
-         << ", \"busy_ns\": " << L.BusyNs << ", \"utilization\": "
-         << (EndNs > 0.0 ? L.BusyNs / EndNs : 0.0)
-         << ", \"max_queue_depth\": " << L.MaxQueueDepth << "}";
-      FirstLink = false;
-    }
-    OS << "]}";
-  }
-  OS << "}";
-  return OS.str();
+  std::string Json = saveProfileJson(buildProfileData(M, Prof, Remarks));
+  // The writer grows its buffer geometrically; the compile service caches
+  // this document and budgets it by size(), so hand back a tight copy.
+  Json.shrink_to_fit();
+  return Json;
 }

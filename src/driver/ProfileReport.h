@@ -19,6 +19,8 @@
 #ifndef EARTHCC_DRIVER_PROFILEREPORT_H
 #define EARTHCC_DRIVER_PROFILEREPORT_H
 
+#include "driver/ProfileData.h"
+
 #include <string>
 
 namespace earthcc {
@@ -27,12 +29,19 @@ class Module;
 class CommProfiler;
 class RemarkStream;
 
-/// Renders the joined per-site report as an aligned text table (active
-/// sites only, in site-id order) followed by the per-node traffic matrix.
-/// \p Remarks may be null (the remark column is omitted from the join, not
-/// the table). The site table is rebuilt from \p M, so the ids match the
-/// ones the engines recorded into \p Prof as long as the module has not
+/// The join as one document: a row per active site (in site-id order)
+/// carrying the static identity (function, line, col, op, access), the
+/// dynamic numbers, and the remark categories attached to its location,
+/// plus total messages, the per-node traffic matrix and, on a topology with
+/// real links, the per-link occupancy. \p Remarks may be null (no site then
+/// carries remarks). The site table is rebuilt from \p M, so the ids match
+/// the ones the engines recorded into \p Prof as long as the module has not
 /// been mutated since the profiled run.
+ProfileData buildProfileData(const Module &M, const CommProfiler &Prof,
+                             const RemarkStream *Remarks);
+
+/// Renders buildProfileData() as an aligned text table followed by the
+/// per-node traffic matrix and, when present, the per-link table.
 std::string renderProfileReport(const Module &M, const CommProfiler &Prof,
                                 const RemarkStream *Remarks);
 
@@ -41,14 +50,12 @@ std::string renderProfileReport(const Module &M, const CommProfiler &Prof,
 /// format back and refuses versions it does not understand.
 constexpr unsigned ProfileJsonVersion = 1;
 
-/// The same join as one JSON object: {"version": 1, "sites": [...],
-/// "total_msgs": N, "traffic_words": [[...]]}. Each site row carries the
-/// static identity (function, line, col, op, access), the dynamic numbers,
-/// and the set of remark categories attached to its location. Site ids are
-/// assigned by simple/CommSites.h as a pure function of the module, so they
-/// are stable across runs of the same compiled module; across *different*
-/// optimization levels rows must be joined by (function, line, col, op) —
-/// see driver/ProfileData.h.
+/// buildProfileData() as one JSON object (saveProfileJson): {"version":1,
+/// "sites":[...],"total_msgs":N,"traffic_words":[[...]]} plus "network" on
+/// a topology with real links. Site ids are assigned by simple/CommSites.h
+/// as a pure function of the module, so they are stable across runs of the
+/// same compiled module; across *different* optimization levels rows must
+/// be joined by (function, line, col, op) — see driver/ProfileData.h.
 std::string profileReportJson(const Module &M, const CommProfiler &Prof,
                               const RemarkStream *Remarks);
 

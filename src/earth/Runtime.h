@@ -8,8 +8,10 @@
 /// \file
 /// The functional state of the simulated EARTH-MANNA machine: a global
 /// address space over per-node local memories, runtime values, dynamic
-/// operation counters, and machine configuration. Timing (EU/SU clocks,
-/// the event queue) lives in the interpreter; this file is pure state.
+/// operation counters, and machine configuration. Timing lives in the
+/// machine both engines run on (interp/Machine.h: EU clocks, the event
+/// queue, operation costs) and in earth/NetworkModel.h (SU clocks, links);
+/// this file is pure state.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -91,21 +91,20 @@ constexpr uint8_t BcBadCondRK = 0xff;
 
 /// How a Switch instruction locates its target at execution time. Lowering
 /// annotates every Switch (BcInsn::Sub) after the case targets are patched;
-/// all three strategies compute the same target as the AST walker's
-/// first-match linear scan over the source-ordered cases, which stays the
-/// observable contract (duplicate case values: first wins).
+/// both strategies compute the same target as the AST walker's first-match
+/// linear scan over the source-ordered cases, which stays the observable
+/// contract (duplicate case values: first wins).
 ///
-/// The execution structures (JumpPool / JumpTables / SortedCasePool) are
-/// strictly additive: CasePool keeps the cases in source order with the
-/// original A/B/Words encoding, because the backends (BackendView,
-/// codegen/ThreadedC) decode the construct from it and their emitted text
-/// must not depend on how the engine dispatches.
+/// The execution structures (JumpPool / JumpTables) are strictly additive:
+/// CasePool keeps the cases in source order with the original A/B/Words
+/// encoding, because the backends (BackendView, codegen/ThreadedC) decode
+/// the construct from it and their emitted text must not depend on how the
+/// engine dispatches.
 enum class BcSwitchMode : uint8_t {
-  Linear = 0, ///< Scan CasePool[B .. B+Words) in source order (also the
-              ///< default-only Words == 0 case, where the scan is empty).
+  Linear = 0, ///< Scan CasePool[B .. B+Words) in source order: sparse,
+              ///< single-case and default-only (empty scan) switches.
   Dense,      ///< Bounds-check against JumpTables[Dst], then one indexed
               ///< load from JumpPool (-1 entries mean the default target).
-  Sorted,     ///< Binary search SortedCasePool[Dst .. Dst+Off) by value.
 };
 
 /// One dense-range jump table: case values [Lo, Lo + Size) map to
@@ -195,9 +194,6 @@ struct BytecodeFunction {
   /// backends' source-ordered ground truth.
   std::vector<BcJumpTable> JumpTables; ///< Dense switches, by BcInsn::Dst.
   std::vector<int32_t> JumpPool;       ///< Dense targets; -1 = default.
-  /// Sparse switches: (value, target) deduplicated first-wins and sorted by
-  /// value; a Sorted switch's run is [Dst, Dst + Off).
-  std::vector<std::pair<int64_t, int32_t>> SortedCasePool;
 
   /// Inline caches resolved at lowering time (dropped with the whole
   /// BytecodeModule on Module::invalidateExecCache(), so post-lowering IR

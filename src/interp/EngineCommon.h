@@ -160,13 +160,6 @@ inline RtValue evalUnary(UnaryOp Op, const RtValue &A) {
   fail("bad unary operator");
 }
 
-/// Pre-interned SU-track span labels, so the trace path never builds a
-/// "su:" + op string at runtime (callers pass the matching constant).
-inline constexpr const char *SuReadDataLabel = "su:read-data";
-inline constexpr const char *SuWriteDataLabel = "su:write-data";
-inline constexpr const char *SuBlkMovLabel = "su:blkmov";
-inline constexpr const char *SuAtomicLabel = "su:atomic";
-
 } // namespace interp
 } // namespace earthcc
 

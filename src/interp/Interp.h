@@ -38,6 +38,9 @@
 /// identical across node counts and optimization levels — which the test
 /// suite checks.
 ///
+/// The machine itself is written once (interp/Machine.h); runProgram picks
+/// the engine that steps it (MachineConfig::Engine).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EARTHCC_INTERP_INTERP_H

@@ -27,9 +27,8 @@
 //   LoopCond cond in RK/Sub/X/Y; A = true target, B = false target.
 //   Switch   X = scrutinee; A = default target; B = CasePool begin,
 //            Words = case count. After buildSwitchDispatch: Sub =
-//            BcSwitchMode; Dense uses Dst = JumpTables index, Sorted uses
-//            Dst = SortedCasePool begin with Off = deduplicated entry
-//            count. CasePool itself stays in source order (backends).
+//            BcSwitchMode; Dense uses Dst = JumpTables index. CasePool
+//            itself stays in source order (backends).
 //   EndSeq   A = jump target.
 //   ParSpawn B = BranchPool begin, Words = branch count.
 //   ForallCond cond in RK/Sub/X/Y; A = body fiber entry, B = join target.
@@ -449,10 +448,10 @@ private:
 };
 
 /// Dense-table policy: a switch's deduplicated values get a jump table when
-/// the value span wastes at most 3 holes per case (span <= 4 * cases) and
-/// the table stays small in absolute terms; everything else binary-searches
-/// a sorted copy. Duplicate case values keep the first occurrence, matching
-/// the source-order linear scan the engines are specified against.
+/// there are at least two, the value span wastes at most 3 holes per case
+/// (span <= 4 * cases) and the table stays small in absolute terms;
+/// everything else keeps the source-order linear scan the engines are
+/// specified against. Duplicate case values keep the first occurrence.
 constexpr uint64_t MaxJumpTableSpan = 4096;
 
 /// Annotates every Switch in BF.Code with its execution strategy
@@ -503,12 +502,6 @@ void buildSwitchDispatch(BytecodeFunction &BF) {
         BF.JumpPool[T.Begin + static_cast<uint64_t>(U.first) -
                     static_cast<uint64_t>(Lo)] = U.second;
       BF.JumpTables.push_back(T);
-    } else {
-      I.Sub = static_cast<uint8_t>(BcSwitchMode::Sorted);
-      I.Dst = static_cast<int32_t>(BF.SortedCasePool.size());
-      I.Off = static_cast<uint32_t>(Unique.size());
-      BF.SortedCasePool.insert(BF.SortedCasePool.end(), Unique.begin(),
-                               Unique.end());
     }
   }
 }

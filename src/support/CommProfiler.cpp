@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace earthcc {
 
@@ -132,80 +131,6 @@ uint64_t CommProfiler::totalMsgs() const {
   for (const SiteProfile &P : Sites)
     N += P.Msgs;
   return N;
-}
-
-std::string CommProfiler::json() const {
-  std::string Out = "{\"sites\": [";
-  char Buf[256];
-  bool First = true;
-  for (unsigned I = 0; I != NumSites; ++I) {
-    const SiteProfile &P = Sites[I];
-    if (!P.Msgs && !P.LocalHits)
-      continue;
-    std::snprintf(Buf, sizeof(Buf),
-                  "%s{\"site\": %u, \"op\": \"%s\", \"msgs\": %llu, "
-                  "\"words\": %llu, \"local\": %llu, \"lat_mean_ns\": %.17g, "
-                  "\"lat_min_ns\": %llu, \"lat_p50_ns\": %llu, "
-                  "\"lat_p90_ns\": %llu, \"lat_max_ns\": %llu}",
-                  First ? "" : ", ", I, commOpKindName(SiteOps[I]),
-                  (unsigned long long)P.Msgs, (unsigned long long)P.Words,
-                  (unsigned long long)P.LocalHits, P.latencyMeanNs(),
-                  (unsigned long long)P.LatMinNs,
-                  (unsigned long long)P.latencyPercentileNs(50),
-                  (unsigned long long)P.latencyPercentileNs(90),
-                  (unsigned long long)P.LatMaxNs);
-    Out += Buf;
-    First = false;
-  }
-  Out += "], \"traffic_words\": [";
-  for (unsigned F = 0; F != NumNodes; ++F) {
-    Out += F ? ", [" : "[";
-    for (unsigned T = 0; T != NumNodes; ++T) {
-      std::snprintf(Buf, sizeof(Buf), "%s%llu", T ? ", " : "",
-                    (unsigned long long)trafficWords(F, T));
-      Out += Buf;
-    }
-    Out += "]";
-  }
-  Out += "]";
-  // The network block exists only when a routed topology reported links;
-  // the ideal network keeps the encoding byte-identical to its
-  // pre-NetworkModel form (the equivalence sweep pins that).
-  if (!NetLinks.empty()) {
-    Out += ", \"network\": {\"topology\": \"" + NetTopology +
-           "\", \"end_ns\": ";
-    std::snprintf(Buf, sizeof(Buf), "%.17g", NetEndTimeNs);
-    Out += Buf;
-    Out += ", \"links\": [";
-    for (size_t I = 0; I != NetLinks.size(); ++I) {
-      const NetLinkStats &L = NetLinks[I];
-      double Util = NetEndTimeNs > 0 ? L.BusyNs / NetEndTimeNs : 0.0;
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s{\"name\": \"%s\", \"msgs\": %llu, \"words\": %llu, "
-                    "\"busy_ns\": %.17g, \"utilization\": %.17g, "
-                    "\"max_queue_depth\": %u}",
-                    I ? ", " : "", L.Name.c_str(), (unsigned long long)L.Msgs,
-                    (unsigned long long)L.Words, L.BusyNs, Util,
-                    L.MaxQueueDepth);
-      Out += Buf;
-    }
-    Out += "], \"pair_words\": [";
-    for (unsigned F = 0; F != NumNodes; ++F) {
-      Out += F ? ", [" : "[";
-      for (unsigned T = 0; T != NumNodes; ++T) {
-        uint64_t W = NetPairWords.size() == size_t(NumNodes) * NumNodes
-                         ? NetPairWords[F * NumNodes + T]
-                         : 0;
-        std::snprintf(Buf, sizeof(Buf), "%s%llu", T ? ", " : "",
-                      (unsigned long long)W);
-        Out += Buf;
-      }
-      Out += "]";
-    }
-    Out += "]}";
-  }
-  Out += "}";
-  return Out;
 }
 
 } // namespace earthcc

@@ -121,9 +121,8 @@ public:
   /// Attaches the network layer's end-of-run view: topology name, per-link
   /// occupancy stats, the NumNodes x NumNodes matrix of words the model
   /// actually injected (row = source), and the run's end time (for
-  /// utilization). Engines call this once after a successful run. The ideal
-  /// network reports no links, which leaves json() byte-identical to the
-  /// pre-NetworkModel encoding — the engine-equivalence sweep relies on it.
+  /// utilization). The machine calls this once after a successful run. The
+  /// ideal network reports no links.
   void setNetwork(std::string TopologyName, std::vector<NetLinkStats> Links,
                   std::vector<uint64_t> PairWords, double EndTimeNs);
 
@@ -131,12 +130,6 @@ public:
   const std::vector<NetLinkStats> &netLinks() const { return NetLinks; }
   const std::vector<uint64_t> &netPairWords() const { return NetPairWords; }
   double netEndTimeNs() const { return NetEndTimeNs; }
-
-  /// Serializes every recorded number (per-site rows, traffic matrix, and
-  /// the network block when a routed topology reported links) as JSON. The
-  /// encoding is a pure function of the recorded data, so equal strings
-  /// <=> equal profiles; the equivalence tests compare this form.
-  std::string json() const;
 
 private:
   unsigned NumSites = 0;

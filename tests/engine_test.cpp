@@ -40,7 +40,12 @@ EngineRun runWith(Pipeline &P, const Module &M, MachineConfig MC,
   MC.Trace = &Sink;
   MC.Profiler = &Prof;
   RunResult R = P.run(M, MC);
-  return {std::move(R), Sink.json(), Prof.json()};
+  // The persisted report covers every site row, the traffic matrix and the
+  // links; the network's injected-words matrix is compared alongside.
+  std::string Profile = profileReportJson(M, Prof, nullptr);
+  for (uint64_t W : Prof.netPairWords())
+    Profile += " " + std::to_string(W);
+  return {std::move(R), Sink.json(), std::move(Profile)};
 }
 
 /// Asserts the two engines' results are indistinguishable.
@@ -251,7 +256,6 @@ TEST(LowerThreadsTest, ParallelLoweringIsDeterministic) {
       EXPECT_EQ(A.BranchPool, B.BranchPool) << What;
       EXPECT_EQ(A.JumpTables, B.JumpTables) << What;
       EXPECT_EQ(A.JumpPool, B.JumpPool) << What;
-      EXPECT_EQ(A.SortedCasePool, B.SortedCasePool) << What;
       ASSERT_EQ(A.Slots.size(), B.Slots.size()) << What;
       for (size_t S = 0; S != A.Slots.size(); ++S) {
         EXPECT_EQ(A.Slots[S].WordOff, B.Slots[S].WordOff) << What;
@@ -484,7 +488,6 @@ TEST(SwitchDispatchTest, DenseContiguousRangeUsesJumpTable) {
     EXPECT_EQ(BF->JumpPool.size(), 8u);
     for (int32_t T : BF->JumpPool)
       EXPECT_GE(T, 0) << "contiguous range has no default holes";
-    EXPECT_TRUE(BF->SortedCasePool.empty());
   }
   EXPECT_TRUE(Found);
 }
@@ -516,7 +519,7 @@ TEST(SwitchDispatchTest, DenseRangeWithHolesDefaultsOnMiss) {
   EXPECT_EQ(switchModeOf(*CR.M, "pick"), BcSwitchMode::Dense);
 }
 
-TEST(SwitchDispatchTest, SparseRangeFallsBackToSortedSearch) {
+TEST(SwitchDispatchTest, SparseRangeFallsBackToLinearScan) {
   int64_t Exit = 0;
   CompileResult CR = runSwitchProgram(R"(
     int pick(int q) {
@@ -535,18 +538,14 @@ TEST(SwitchDispatchTest, SparseRangeFallsBackToSortedSearch) {
   )",
                                       "sparse", Exit);
   ASSERT_TRUE(CR.OK);
-  // Span 10000 blows the dense budget: binary search over the sorted pool,
+  // Span 10000 blows the dense budget: the source-order linear scan, where
   // near-misses on both sides of a case value take the default.
   EXPECT_EQ(Exit, 10 + 20 + 30 + 500 + 500);
-  EXPECT_EQ(switchModeOf(*CR.M, "pick"), BcSwitchMode::Sorted);
+  EXPECT_EQ(switchModeOf(*CR.M, "pick"), BcSwitchMode::Linear);
   const BytecodeModule &BM = getOrLowerBytecode(*CR.M);
   for (const auto &BF : BM.Funcs) {
     if (BF->Fn->name() != "pick")
       continue;
-    ASSERT_EQ(BF->SortedCasePool.size(), 3u);
-    EXPECT_EQ(BF->SortedCasePool[0].first, 1);
-    EXPECT_EQ(BF->SortedCasePool[1].first, 100);
-    EXPECT_EQ(BF->SortedCasePool[2].first, 10000);
     EXPECT_TRUE(BF->JumpTables.empty());
   }
 }
@@ -556,7 +555,7 @@ TEST(SwitchDispatchTest, DuplicateCaseValueFirstWins) {
   // shared contract applies: the first case in source order wins, in every
   // dispatch mode (lowering deduplicates keeping the first target).
   for (const char *Extra : {"case 2: r = 30; break;",       // dense shape
-                            "case 9999: r = 30; break;"}) { // sorted shape
+                            "case 9999: r = 30; break;"}) { // linear shape
     int64_t Exit = 0;
     std::string Src = std::string(R"(
       int pick(int q) {
@@ -605,7 +604,7 @@ TEST(SwitchDispatchTest, DefaultOnlyAndMissingDefault) {
   EXPECT_EQ(Exit, 5 + 40 + 77);
   EXPECT_EQ(switchModeOf(*CR.M, "defonly"), BcSwitchMode::Linear);
   // A single case cannot be dense (the table needs two distinct values).
-  EXPECT_EQ(switchModeOf(*CR.M, "nodefault"), BcSwitchMode::Sorted);
+  EXPECT_EQ(switchModeOf(*CR.M, "nodefault"), BcSwitchMode::Linear);
 }
 
 

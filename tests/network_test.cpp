@@ -245,8 +245,9 @@ TEST(NetworkIntegrationTest, ProfilerConservation) {
     EXPECT_EQ(Prof.netLinks()[L].Words, LinkWords[L])
         << "link " << Prof.netLinks()[L].Name;
 
-  // The json carries the network block on a routed topology...
-  EXPECT_NE(Prof.json().find("\"network\""), std::string::npos);
+  // The profiler carries the network view on a routed topology...
+  EXPECT_EQ(Prof.netTopology(), "torus2d");
+  EXPECT_FALSE(Prof.netLinks().empty());
 
   // ...and stays in the historical shape at ideal (same run, same profiler
   // instance reused — beginRun clears the network view).
@@ -255,7 +256,7 @@ TEST(NetworkIntegrationTest, ProfilerConservation) {
   RunResult RI = P.run(*CR.M, Ideal);
   ASSERT_TRUE(RI.OK) << RI.Error;
   EXPECT_TRUE(Prof.netLinks().empty());
-  EXPECT_EQ(Prof.json().find("\"network\""), std::string::npos);
+  EXPECT_EQ(Prof.netTopology(), "ideal");
 
   // Contention is real: the same program takes strictly longer on the bus
   // than on the ideal network.

@@ -284,15 +284,27 @@ TEST(CommProfilerTest, RecordAccumulatesSitesAndTraffic) {
   EXPECT_EQ(Prof.trafficWords(0, 0), 0u);
 }
 
-TEST(CommProfilerTest, JsonIsPureFunctionOfRecordedData) {
+TEST(CommProfilerTest, ProfileIsPureFunctionOfRecordedData) {
   CommProfiler A, B;
   for (CommProfiler *P : {&A, &B}) {
     P->beginRun(2, 2);
     P->record(0, CommOpKind::Read, 0, 1, 1, 10.0, 42.0);
     P->recordLocal(1, CommOpKind::Atomic, 1, 0);
   }
-  EXPECT_EQ(A.json(), B.json());
-  EXPECT_NE(A.json().find("\"sites\""), std::string::npos);
+  for (unsigned I = 0; I != 2; ++I) {
+    const SiteProfile &SA = A.site(I), &SB = B.site(I);
+    EXPECT_EQ(A.siteOp(I), B.siteOp(I)) << I;
+    EXPECT_EQ(SA.Msgs, SB.Msgs) << I;
+    EXPECT_EQ(SA.Words, SB.Words) << I;
+    EXPECT_EQ(SA.LocalHits, SB.LocalHits) << I;
+    EXPECT_EQ(SA.LatSumNs, SB.LatSumNs) << I;
+    EXPECT_EQ(SA.LatHist, SB.LatHist) << I;
+    for (unsigned To = 0; To != 2; ++To)
+      EXPECT_EQ(A.trafficWords(I, To), B.trafficWords(I, To)) << I;
+  }
+  EXPECT_EQ(A.site(0).latencyPercentileNs(50), 32u);
+  EXPECT_EQ(A.siteOp(1), CommOpKind::Atomic);
+  EXPECT_EQ(A.site(1).LocalHits, 1u);
   // beginRun resets: a fresh run must not inherit prior counts.
   A.beginRun(2, 2);
   EXPECT_EQ(A.totalMsgs(), 0u);

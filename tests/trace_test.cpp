@@ -2,8 +2,8 @@
 //
 // Part of the earthcc project.
 //
-// Runs a tiny EARTH-C program on the 2-node simulated machine with a
-// ChromeTraceSink attached and compares the full serialized trace against
+// Runs two small EARTH-C programs on the 2-node simulated machine with a
+// ChromeTraceSink attached and compares each full serialized trace against
 // a checked-in golden file. The interpreter's events are timestamped in
 // *simulated* nanoseconds, so the trace is bit-for-bit deterministic; the
 // sink is attached only after compilation so no wall-clock pass events
@@ -22,6 +22,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace earthcc;
@@ -32,9 +33,9 @@ using namespace earthcc;
 
 namespace {
 
-// Small enough that the golden file stays reviewable, but exercises every
-// traced event class: remote reads and writes (node 0 <-> node 1), a local
-// fallback, fiber spawn/sync, and EU/SU activity on both nodes.
+// Small enough that the golden file stays reviewable: remote reads and
+// writes from node 0 to node 1, their SU service slices, and EU/SU clock
+// activity on both nodes. MachineProgram below covers the other classes.
 const char *TinyProgram = R"(
   struct Pair { int a; int b; };
   int main() {
@@ -49,8 +50,48 @@ const char *TinyProgram = R"(
   }
 )";
 
-std::string goldenPath() {
-  return std::string(EARTHCC_GOLDEN_DIR) + "/trace_tiny.json";
+// Compiled optimized, this emits every event class the machine has besides
+// the tiny program's: bump()'s three field reads and writes become blocked
+// reads and writes (blkmov); the parallel sequence spawns three branches,
+// each settling with a sync-signal; the placed call migrates to node 1,
+// where the blkmovs hit local memory (local-fallback) and addto() on the
+// node-0 global is a remote atomic; spin() outlasts its EU quantum while
+// bump(r)'s blkmov is in flight, so node 0 context-switches.
+const char *MachineProgram = R"(
+  struct Point { int x; int y; int z; };
+  shared int hits;
+  void bump(Point *p) {
+    p->x = p->x + 1;
+    p->y = p->y + 2;
+    p->z = p->z + 3;
+    addto(&hits, 1);
+  }
+  int spin(int n) {
+    int i; int s;
+    s = 0;
+    for (i = 0; i < n; i = i + 1) { s = s + i; }
+    return s;
+  }
+  int main() {
+    Point *p; Point *r;
+    int a; int h;
+    writeto(&hits, 0);
+    p = pmalloc(sizeof(Point))@node(1);
+    r = pmalloc(sizeof(Point))@node(1);
+    p->x = 1; p->y = 2; p->z = 3;
+    r->x = 4; r->y = 5; r->z = 6;
+    {^
+      bump(p)@OWNER_OF(p);
+      bump(r);
+      a = spin(120);
+    ^}
+    h = valueof(&hits);
+    return p->x + r->z + h + a;
+  }
+)";
+
+std::string goldenPath(const char *Name = "trace_tiny.json") {
+  return std::string(EARTHCC_GOLDEN_DIR) + "/" + Name;
 }
 
 std::string readFile(const std::string &Path) {
@@ -131,6 +172,56 @@ TEST(TraceGoldenTest, TraceContainsExpectedEventClasses) {
   EXPECT_GT(SuServices, 0u);
   EXPECT_GT(Meta, 0u);   // process/thread name metadata
   EXPECT_TRUE(SawNode1); // remote node shows SU activity
+}
+
+TEST(TraceGoldenTest, MachineProgramTwoNodesBothEngines) {
+  Pipeline P(PipelineOptions::optimized());
+  CompileResult CR = P.compile(MachineProgram);
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+
+  const std::string Path = goldenPath("trace_machine.json");
+  const bool Regen = std::getenv("EARTHCC_REGEN_GOLDEN") != nullptr;
+  // Both engines must produce the one golden; regeneration writes the AST
+  // walker's trace and still compares the bytecode engine against it.
+  for (ExecEngine Engine : {ExecEngine::AST, ExecEngine::Bytecode}) {
+    SCOPED_TRACE(Engine == ExecEngine::AST ? "ast" : "bytecode");
+    ChromeTraceSink Sink;
+    P.setTraceSink(&Sink);
+    MachineConfig MC;
+    MC.NumNodes = 2;
+    MC.Engine = Engine;
+    RunResult R = P.run(*CR.M, MC);
+    ASSERT_TRUE(R.OK) << R.Error;
+    EXPECT_EQ(R.ExitValue.I, 2 + 9 + 2 + 7140);
+
+    std::string Trace = Sink.json();
+    if (Regen && Engine == ExecEngine::AST) {
+      std::ofstream Out(Path);
+      ASSERT_TRUE(Out) << "cannot write " << Path;
+      Out << Trace;
+      continue;
+    }
+    std::string Golden = readFile(Path);
+    ASSERT_FALSE(Golden.empty())
+        << "missing golden file " << Path
+        << " (regenerate with EARTHCC_REGEN_GOLDEN=1)";
+    EXPECT_EQ(Trace, Golden)
+        << "simulator trace diverged from golden; if the cost model or "
+           "instrumentation changed intentionally, regenerate with "
+           "EARTHCC_REGEN_GOLDEN=1";
+
+    std::set<std::string> Names;
+    for (const TraceEvent &E : Sink.events())
+      Names.insert(E.Name);
+    for (const char *Name :
+         {"blkmov", "su:blkmov", "atomic", "su:atomic", "local-fallback",
+          "spawn", "migrate", "ctx-switch", "sync-signal", "eu-run",
+          "eu-clock", "su-clock"}) {
+      EXPECT_TRUE(Names.count(Name)) << "no '" << Name << "' event";
+    }
+  }
+  if (Regen)
+    GTEST_SKIP() << "regenerated " << Path;
 }
 
 //===----------------------------------------------------------------------===//
