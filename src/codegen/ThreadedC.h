@@ -19,25 +19,23 @@
 ///  - parallel sequences and forall loops become TOKEN spawns plus a join
 ///    slot; placed calls become INVOKE tokens.
 ///
-/// The emitter consumes the *flat bytecode stream* the simulator executes
-/// (interp/Lower.cpp), not the SIMPLE statement tree: construct structure is
-/// decoded from the BcCtor-tagged Enter instructions and the patched jump
-/// targets, and sync-slot numbering, frame-slot layout, and dead-label
-/// facts come from the shared backend view (interp/BackendView.h). The
-/// bytecode is therefore the single source of truth for slot numbering —
-/// the engines and every backend agree by construction.
+/// The emitter walks the SIMPLE statement tree: SIMPLE is structured the
+/// way Threaded-C is, so each construct maps onto its Threaded-C form
+/// directly and operand text comes from the IR printer. Sync slots exist
+/// only in the emitted program (the simulator's engines never number them);
+/// they are numbered in emission order.
 ///
-/// The earthcc execution path interprets the same bytecode on the simulator
-/// (see DESIGN.md), so this emitter is a faithful *presentation* of Phase
-/// III rather than a second execution engine; tests pin down the thread
-/// partitioning and the slot discipline.
+/// The earthcc execution path interprets the same SIMPLE module on the
+/// simulator (see DESIGN.md), so this emitter is a faithful *presentation*
+/// of Phase III rather than a second execution engine; tests pin down the
+/// thread partitioning and the slot discipline.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EARTHCC_CODEGEN_THREADEDC_H
 #define EARTHCC_CODEGEN_THREADEDC_H
 
-#include "interp/Lower.h"
+#include "simple/Function.h"
 
 #include <string>
 
@@ -49,21 +47,8 @@ struct ThreadedCInfo {
   unsigned SyncSlots = 0; ///< Sync slots allocated.
 };
 
-/// Emits Threaded-C for one lowered function. \p Info (optional) receives
-/// counts.
-std::string emitThreadedC(const BytecodeModule &BM, const BytecodeFunction &BF,
-                          ThreadedCInfo *Info = nullptr);
-
-/// Convenience overload: lowers \p M on first use (memoized on the module's
-/// execution cache) and emits \p F.
-std::string emitThreadedC(const Module &M, const Function &F,
-                          ThreadedCInfo *Info = nullptr);
-
-/// Emits Threaded-C for a whole lowered module.
-std::string emitThreadedC(const BytecodeModule &BM);
-
-/// Convenience overload: lowers \p M on first use, then emits every function.
-std::string emitThreadedC(const Module &M);
+/// Emits Threaded-C for \p F. \p Info (optional) receives counts.
+std::string emitThreadedC(const Function &F, ThreadedCInfo *Info = nullptr);
 
 } // namespace earthcc
 

@@ -193,19 +193,14 @@ std::string Pipeline::emitThreadedC(const Module &M) {
   runStageOn(
       "codegen", [&M]() -> const Module * { return &M; }, nullptr,
       [&](Statistics &S) {
-        // The emitter reads the memoized lower product — the same cached
-        // bytecode the simulator executes — so a compile()d module pays no
-        // second lowering here and slot numbering cannot diverge between
-        // the emitted program and the engines.
-        const BytecodeModule &BM = getOrLowerBytecode(M, Opts.LowerThreads);
         uint64_t Threads = 0, SyncSlots = 0;
-        for (const auto &BF : BM.Funcs) {
+        for (const auto &F : M.functions()) {
           ThreadedCInfo Info;
-          Out += ::earthcc::emitThreadedC(BM, *BF, &Info) + "\n";
+          Out += ::earthcc::emitThreadedC(*F, &Info) + "\n";
           Threads += Info.Threads;
           SyncSlots += Info.SyncSlots;
         }
-        S.add("codegen.functions", BM.Funcs.size());
+        S.add("codegen.functions", M.functions().size());
         S.add("codegen.threads", Threads);
         S.add("codegen.sync-slots", SyncSlots);
         S.add("codegen.bytes", Out.size());

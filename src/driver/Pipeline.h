@@ -202,13 +202,11 @@ public:
                           const std::string &Entry = "main",
                           const std::vector<RtValue> &Args = {});
 
-  /// Emits Threaded-C for \p M as a named, timed, observed "codegen" stage.
-  /// The emitter consumes the memoized "lower" stage product
-  /// (getOrLowerBytecode): after compile() the bytecode is already cached on
-  /// the module, so codegen re-reads the exact streams the simulator
-  /// executes — slot numbering in the emitted program and in the engines
-  /// cannot diverge. The stage is appended to stages() (and traced like any
-  /// compile stage), so `--stats`/`--trace` cover codegen too.
+  /// Emits Threaded-C for \p M as a named, timed, observed "codegen" stage:
+  /// every function in module order, each walked from its SIMPLE tree
+  /// (codegen reads no bytecode). The stage is appended to stages() (and
+  /// traced like any compile stage), so `--stats`/`--trace` cover codegen
+  /// too.
   std::string emitThreadedC(const Module &M);
 
   /// Reports for the most recent compile(), in execution order.

@@ -85,8 +85,8 @@ enum class BcOp : uint8_t {
 };
 
 /// Condition-shape marker for conditions that are not pure (Opnd / Unary /
-/// Binary). The engines raise the AST walker's "condition with memory
-/// access" diagnostic when they dispatch one; backends skip it.
+/// Binary). The bytecode engine raises the AST walker's "condition with
+/// memory access" diagnostic when it dispatches one.
 constexpr uint8_t BcBadCondRK = 0xff;
 
 /// How a Switch instruction locates its target at execution time. Lowering
@@ -95,11 +95,10 @@ constexpr uint8_t BcBadCondRK = 0xff;
 /// linear scan over the source-ordered cases, which stays the observable
 /// contract (duplicate case values: first wins).
 ///
-/// The execution structures (JumpPool / JumpTables) are strictly additive:
-/// CasePool keeps the cases in source order with the original A/B/Words
-/// encoding, because the backends (BackendView, codegen/ThreadedC) decode
-/// the construct from it and their emitted text must not depend on how the
-/// engine dispatches.
+/// The dense structures (JumpPool / JumpTables) are strictly additive:
+/// CasePool keeps the cases in source order, because that order is the
+/// linear scan's first-match contract, and the dense table is built from it
+/// with the first occurrence of a duplicate value winning.
 enum class BcSwitchMode : uint8_t {
   Linear = 0, ///< Scan CasePool[B .. B+Words) in source order: sparse,
               ///< single-case and default-only (empty scan) switches.
@@ -117,24 +116,6 @@ struct BcJumpTable {
   bool operator==(const BcJumpTable &) const = default;
 };
 
-/// Construct tag carried by every BcOp::Enter instruction: which structured
-/// construct the entered region belongs to. The execution engines ignore it
-/// (Enter is a pure fall-through step either way); backends use it to decode
-/// the flat stream — e.g. to tell a nested sequence whose first child is a
-/// compound (Enter, Enter, ...) from a do-while body entry (also Enter,
-/// Enter, ...) — without consulting the statement tree.
-enum class BcCtor : uint8_t {
-  None = 0,    ///< Not an Enter (default on every other opcode).
-  Seq,         ///< Nested sequential sequence.
-  If,          ///< If: the next instruction is the Br.
-  While,       ///< While loop: the next instruction is the LoopCond.
-  DoWhile,     ///< Do-while: the next instruction is the body-entry Enter.
-  Switch,      ///< Switch: the next instruction is the dispatch.
-  Forall,      ///< Forall: the next instruction is the ForallInit.
-  Par,         ///< Parallel sequence: the next instruction is the ParSpawn.
-  DoWhileBody, ///< The do-while's own body-entry step (second Enter).
-};
-
 /// A leaf operand resolved to a frame slot or a pre-built constant value.
 struct BcOperand {
   enum class K : uint8_t { None, Slot, Const } Kind = K::None;
@@ -145,8 +126,9 @@ struct BcOperand {
 
 /// One bytecode instruction. The union of fields every opcode needs; the
 /// per-opcode meaning of A/B/Off/Words is documented in Lower.cpp next to
-/// the code that emits it. `Src` points at the originating statement and is
-/// touched only on error paths (diagnostic text must match the AST engine).
+/// the code that emits it. `Src` points at the originating statement; the
+/// engine reads names from it for its diagnostics only (their text must
+/// match the AST engine's).
 struct BcInsn {
   BcOp Op = BcOp::ImplicitRet;
   uint8_t RK = 0;    ///< RValueKind of an Assign / condition shape.
@@ -154,7 +136,6 @@ struct BcInsn {
   uint8_t Sub = 0;   ///< UnaryOp/BinaryOp/AtomicOp/BlkMovDir/Intrinsic.
   uint8_t Loc = 0;   ///< Locality of a Load/Store (cast of Locality).
   uint8_t Place = 0; ///< CallPlacement of a Call.
-  uint8_t Ctor = 0;  ///< BcCtor construct tag of an Enter (backends only).
   int32_t A = -1;    ///< Slot or jump target (opcode-specific).
   int32_t B = -1;    ///< Slot, jump target or pool index (opcode-specific).
   uint32_t Off = 0;  ///< Word offset of a field access.
@@ -190,8 +171,8 @@ struct BytecodeFunction {
   std::vector<int32_t> BranchPool; ///< Parallel-sequence branch entries.
 
   /// Switch dispatch acceleration (see BcSwitchMode). Built per function by
-  /// lowerModule after case targets are patched; CasePool above stays the
-  /// backends' source-ordered ground truth.
+  /// lowerModule after case targets are patched; CasePool above stays in
+  /// source order.
   std::vector<BcJumpTable> JumpTables; ///< Dense switches, by BcInsn::Dst.
   std::vector<int32_t> JumpPool;       ///< Dense targets; -1 = default.
 

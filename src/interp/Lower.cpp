@@ -8,6 +8,9 @@
 // (basic statement, control push/pop, condition evaluation, join check)
 // becomes exactly one instruction, so fiber preemption quanta, step fuel,
 // and therefore the whole simulated schedule are preserved bit-for-bit.
+// The bytecode engine is the stream's only reader: Threaded-C is emitted
+// from the statement tree (codegen/ThreadedC.cpp), so the stream carries
+// nothing for a code generator.
 //
 // Field usage per opcode (the A/B/Off/Words overloads):
 //
@@ -28,7 +31,7 @@
 //   Switch   X = scrutinee; A = default target; B = CasePool begin,
 //            Words = case count. After buildSwitchDispatch: Sub =
 //            BcSwitchMode; Dense uses Dst = JumpTables index. CasePool
-//            itself stays in source order (backends).
+//            itself stays in source order (first match wins).
 //   EndSeq   A = jump target.
 //   ParSpawn B = BranchPool begin, Words = branch count.
 //   ForallCond cond in RK/Sub/X/Y; A = body fiber entry, B = join target.
@@ -46,10 +49,6 @@
 using namespace earthcc;
 
 namespace {
-
-/// Condition-shape marker for conditions that are not pure (parity with the
-/// AST engine's pureAvail error path). Shared with the backends.
-constexpr uint8_t BadCondRK = BcBadCondRK;
 
 class FunctionLowering {
 public:
@@ -89,26 +88,6 @@ private:
     I.Src = Src;
     BF.Code.push_back(I);
     return pc() - 1;
-  }
-
-  /// The backend-facing construct tag of a non-basic statement (see BcCtor).
-  static BcCtor ctorOf(const Stmt &S) {
-    switch (S.kind()) {
-    case StmtKind::Seq:
-      return castStmt<SeqStmt>(S).Parallel ? BcCtor::Par : BcCtor::Seq;
-    case StmtKind::If:
-      return BcCtor::If;
-    case StmtKind::While:
-      return castStmt<WhileStmt>(S).IsDoWhile ? BcCtor::DoWhile
-                                              : BcCtor::While;
-    case StmtKind::Switch:
-      return BcCtor::Switch;
-    case StmtKind::Forall:
-      return BcCtor::Forall;
-    default:
-      assert(false && "basic statements are never entered");
-      return BcCtor::None;
-    }
   }
 
   void patch(int32_t Insn, int32_t BcInsn::*Field, int32_t Target) {
@@ -164,7 +143,7 @@ private:
       return;
     }
     default:
-      I.RK = BadCondRK; // "condition with memory access" at execution.
+      I.RK = BcBadCondRK; // "condition with memory access" at execution.
       return;
     }
   }
@@ -295,8 +274,7 @@ private:
         continue;
       }
       // The walker spends one step pushing a non-basic child.
-      BF.Code[emit(BcOp::Enter, Child.get())].Ctor =
-          static_cast<uint8_t>(ctorOf(*Child));
+      emit(BcOp::Enter, Child.get());
       lowerCompound(*Child);
     }
   }
@@ -375,8 +353,7 @@ private:
         return;
       }
       // do-while: the walker spends one step entering the body first.
-      BF.Code[emit(BcOp::Enter, &S)].Ctor =
-          static_cast<uint8_t>(BcCtor::DoWhileBody);
+      emit(BcOp::Enter, &S);
       int32_t Body = pc();
       lowerSeqChildren(*W.Body);
       int32_t BodyEnd = emit(BcOp::EndSeq, W.Body.get());

@@ -19,6 +19,7 @@
 #include "support/SourceLoc.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <string>
 
@@ -88,8 +89,18 @@ struct ConstantValue {
   }
 
   bool isInt() const { return K == Kind::Int; }
+  /// The constant as C source. A double is spelled in its shortest
+  /// round-trip form, so the text reads back as the same value, with ".0"
+  /// appended to a whole number so the literal stays a double ("1.0",
+  /// "2.5", "1e+20").
   std::string str() const {
-    return isInt() ? std::to_string(I) : std::to_string(D);
+    if (isInt())
+      return std::to_string(I);
+    char Buf[32];
+    std::string S(Buf, std::to_chars(Buf, Buf + sizeof(Buf), D).ptr);
+    if (S.find_first_not_of("-0123456789") == std::string::npos)
+      S += ".0";
+    return S;
   }
 };
 
