@@ -179,6 +179,25 @@ def table3(a):
                                  at16[-1][1][-1], at16[-1][0])])
 
 
+def topology(a):
+    t = a["topology"]
+    base = t["topologies"][0]
+    cell = {(r["workload"], r["topology"], r["nodes"]):
+            r["simple_ns"] / r["optimized_ns"] for r in t["sweep"]}
+    rows = [[w, topo] + ["%.2f×" % cell[w, topo, n] for n in t["nodes"]]
+            for w in t["workloads"] for topo in t["topologies"]]
+    moves = []
+    for topo in t["topologies"][1:]:
+        per = ["%s %s" % (w, ", ".join(
+            "%.2f× → %.2f× at %s" % (cell[w, base, n], cell[w, topo, n],
+                                    procs(n)) for n in t["nodes"]))
+            for w in t["workloads"]]
+        moves.append("- %s against %s: %s." % (topo, base, "; ".join(per)))
+    return "\n".join([
+        table(["benchmark", "topology"] + [procs(n) for n in t["nodes"]],
+              rows), ""] + moves)
+
+
 def ablations(a):
     out, row, benches = [], {}, {}
     for sw in a["ablations"]["sweeps"]:
@@ -262,7 +281,8 @@ def ablations(a):
 
 
 RENDER = {"table1": table1, "crossover": crossover, "table2": table2,
-          "fig10": fig10, "table3": table3, "ablations": ablations}
+          "fig10": fig10, "table3": table3, "topology": topology,
+          "ablations": ablations}
 
 
 def main(argv):

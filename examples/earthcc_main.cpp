@@ -381,5 +381,5 @@ int main(int argc, char **argv) {
   }
   if (!MetricsMode.empty())
     emitMetrics(MetricsMode);
-  return static_cast<int>(R.ExitValue.I);
+  return static_cast<int>(R.ExitValue.asInt());
 }

@@ -139,7 +139,7 @@ MachineConfig RunRequest::machine() const {
 }
 
 std::string RunRequest::keyBytes() const {
-  KeyWriter W("earthcc-run-v3"); // v3: fuse flag dropped
+  KeyWriter W("earthcc-run-v4"); // v4: profile flag added
   W.text("entry", Entry);
   W.integer("args", Args.size());
   for (const RtValue &A : Args) {
@@ -193,6 +193,7 @@ std::string RunRequest::keyBytes() const {
   W.real("return", Costs.ReturnCost);
   W.real("spawn", Costs.SpawnCost);
   W.real("ctx-switch", Costs.CtxSwitch);
+  W.boolean("profile", RecordProfile);
   // Sink and Profiler are intentionally absent: instrumentation observes a
   // run without changing its result, so it must not change the cache key.
   return W.take();

@@ -26,6 +26,8 @@
 /// (CompileRequest::LowerThreads — bit-identical output at any setting) and
 /// per-request instrumentation (RunRequest::Sink / Profiler — observe
 /// without perturbing) are deliberately excluded from the key bytes.
+/// RunRequest::RecordProfile is keyed: it decides what a cached run result
+/// holds.
 ///
 /// The declarative option table (requestOptions()) maps every externally
 /// settable knob — CLI flag, `--serve` JSON field, environment variable —
@@ -102,6 +104,13 @@ struct RunRequest {
   /// node owns each datum, hence simulated results; keyed.
   Distribution Dist;
   unsigned DistBlockSize;
+  /// Whether a CompileService run records the per-site comm profile with
+  /// its result (SimArtifact::ProfileJson). The serve loop sets it from a
+  /// request's `profile` field, so a run nobody asked to profile pays for
+  /// neither the profiler nor its JSON. Keyed: a result with a profile is
+  /// a different artifact from one without. On by default, so API callers
+  /// keep their profiles. Pipeline::run ignores it (see Profiler below).
+  bool RecordProfile = true;
 
   /// Per-request instrumentation. Observes the run without perturbing it,
   /// so both are excluded from keyBytes(): attaching a sink or profiler

@@ -5,11 +5,16 @@
 // Topology implementations. The routed models (bus, mesh2d, torus2d,
 // fattree) share one store-and-forward core: a transfer occupies each link
 // of its route in order, each link is a FIFO server in simulated time
-// (`FreeAt` clock), and occupancy is HopNs + Words * WordNs per link. The
-// per-link `Busy` deque tracks departures that have not yet drained so peak
-// queue depth is observable; `PairWords` records every injected transfer
-// for the conservation tests (per-link words summed over routes must equal
-// the re-routed pair matrix).
+// (`FreeAt` clock), and occupancy is HopNs + Words * WordNs per link. Each
+// topology defines its routing once, as a walk that visits the route's
+// links in place: transferDone() applies a hop at every link it visits, and
+// route() collects the same walk for the conservation tests. A transfer
+// therefore allocates nothing, and no per-pair route table exists (at
+// MaxSimNodes one would hold tens of MiB of link indices). The per-link
+// `Busy` ring tracks departures that have not yet drained so peak queue
+// depth is observable; `PairWords` records every injected transfer for the
+// conservation tests (per-link words summed over routes must equal the
+// re-routed pair matrix).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +22,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <string>
 
 namespace earthcc {
@@ -98,38 +102,48 @@ public:
   }
 };
 
-/// Shared store-and-forward core for every topology with real links.
+/// The departure times of the transfers still occupying one link, oldest
+/// first. A ring buffer: pops from the front and pushes at the back in
+/// exactly the order a deque would, grows by doubling and never shrinks, so
+/// a hop allocates nothing once the ring has reached the link's peak depth.
+class DepartureRing {
+public:
+  bool empty() const { return Count == 0; }
+  unsigned size() const { return Count; }
+  double front() const { return Buf[Head]; }
+  void pop_front() {
+    Head = (Head + 1) & Mask;
+    --Count;
+  }
+  void push_back(double T) {
+    if (Count == Buf.size())
+      grow();
+    Buf[(Head + Count) & Mask] = T;
+    ++Count;
+  }
+
+private:
+  void grow() {
+    std::vector<double> Bigger(std::max<size_t>(8, Buf.size() * 2));
+    for (unsigned I = 0; I != Count; ++I)
+      Bigger[I] = Buf[(Head + I) & Mask];
+    Buf = std::move(Bigger);
+    Mask = static_cast<unsigned>(Buf.size() - 1);
+    Head = 0;
+  }
+
+  std::vector<double> Buf; ///< Capacity is 0 or a power of two.
+  unsigned Mask = 0;
+  unsigned Head = 0;
+  unsigned Count = 0;
+};
+
+/// Shared store-and-forward state for every topology with real links.
 class RoutedNetwork : public NetworkModel {
 public:
   RoutedNetwork(Topology Topo, unsigned NumNodes, const CostModel &C)
       : NetworkModel(Topo, NumNodes, C),
         PairWords(size_t(NumNodes) * NumNodes, 0) {}
-
-  double transferDone(unsigned From, unsigned To, uint64_t Words,
-                      double IssueTime) override {
-    if (From == To) // local delivery never touches the network
-      return IssueTime;
-    PairWords[size_t(From) * numNodes() + To] += Words;
-    double T = IssueTime;
-    for (unsigned Idx : route(From, To)) {
-      Link &L = Links[Idx];
-      // Drain transfers that have already left the link by time T, then
-      // queue behind whatever is still occupying it (FIFO in simulated
-      // time — this is where contention serializes).
-      while (!L.Busy.empty() && L.Busy.front() <= T)
-        L.Busy.pop_front();
-      double Depart = std::max(T, L.FreeAt);
-      double Hold = L.HopNs + L.WordNs * static_cast<double>(Words);
-      L.FreeAt = Depart + Hold;
-      L.Busy.push_back(L.FreeAt);
-      L.MaxDepth = std::max(L.MaxDepth, static_cast<unsigned>(L.Busy.size()));
-      ++L.Msgs;
-      L.Words += Words;
-      L.BusyNs += Hold;
-      T = Depart + Hold;
-    }
-    return T;
-  }
 
   std::vector<NetLinkStats> linkStats() const override {
     std::vector<NetLinkStats> Out;
@@ -153,7 +167,7 @@ protected:
     uint64_t Words = 0;
     double BusyNs = 0.0;
     unsigned MaxDepth = 0;
-    std::deque<double> Busy; ///< Departure times not yet in the past.
+    DepartureRing Busy; ///< Departure times not yet in the past.
   };
 
   unsigned addLink(std::string Name, double HopNs, double WordNs) {
@@ -165,24 +179,70 @@ protected:
     return static_cast<unsigned>(Links.size() - 1);
   }
 
+  /// A \p Words-word transfer crosses link \p Idx, reaching it at \p T;
+  /// returns when it has left the link.
+  double hop(unsigned Idx, uint64_t Words, double T) {
+    Link &L = Links[Idx];
+    // Drain transfers that have already left the link by time T, then
+    // queue behind whatever is still occupying it (FIFO in simulated
+    // time — this is where contention serializes).
+    while (!L.Busy.empty() && L.Busy.front() <= T)
+      L.Busy.pop_front();
+    double Depart = std::max(T, L.FreeAt);
+    double Hold = L.HopNs + L.WordNs * static_cast<double>(Words);
+    L.FreeAt = Depart + Hold;
+    L.Busy.push_back(L.FreeAt);
+    L.MaxDepth = std::max(L.MaxDepth, L.Busy.size());
+    ++L.Msgs;
+    L.Words += Words;
+    L.BusyNs += Hold;
+    return Depart + Hold;
+  }
+
   std::vector<Link> Links;
   std::vector<uint64_t> PairWords;
+};
+
+/// transferDone() and route() of topology \p Shape, both from its one
+/// routing definition: `Shape::walk(From, To, Visit)` calls `Visit(Idx)` for
+/// each link index of the route From -> To (From != To), in order, without
+/// materializing the route.
+template <typename Shape> class Routed : public RoutedNetwork {
+public:
+  using RoutedNetwork::RoutedNetwork;
+
+  double transferDone(unsigned From, unsigned To, uint64_t Words,
+                      double IssueTime) final {
+    if (From == To) // local delivery never touches the network
+      return IssueTime;
+    PairWords[size_t(From) * numNodes() + To] += Words;
+    double T = IssueTime;
+    static_cast<const Shape *>(this)->walk(
+        From, To, [&](unsigned Idx) { T = hop(Idx, Words, T); });
+    return T;
+  }
+
+  std::vector<unsigned> route(unsigned From, unsigned To) const final {
+    std::vector<unsigned> Out;
+    if (From != To)
+      static_cast<const Shape *>(this)->walk(
+          From, To, [&](unsigned Idx) { Out.push_back(Idx); });
+    return Out;
+  }
 };
 
 /// One shared medium: every remote transfer serializes through the same
 /// link. HopNs is the full NetDelay (one "hop" spans the machine), so an
 /// uncontended bus behaves exactly like the ideal network plus bandwidth.
-class BusNetwork final : public RoutedNetwork {
+class BusNetwork final : public Routed<BusNetwork> {
 public:
   BusNetwork(unsigned NumNodes, const CostModel &C, double WordNs)
-      : RoutedNetwork(Topology::Bus, NumNodes, C) {
+      : Routed(Topology::Bus, NumNodes, C) {
     addLink("bus", C.NetDelay, WordNs);
   }
 
-  std::vector<unsigned> route(unsigned From, unsigned To) const override {
-    if (From == To)
-      return {};
-    return {0};
+  template <typename Visit> void walk(unsigned, unsigned, Visit &&V) const {
+    V(0u);
   }
 };
 
@@ -191,11 +251,11 @@ public:
 /// (x, y) = (n % Side, n / Side). Dimension-ordered routing; the order is
 /// X-then-Y when y1 <= y2 and Y-then-X otherwise, which provably keeps
 /// every intermediate node inside the (possibly partial) grid.
-class GridNetwork final : public RoutedNetwork {
+class GridNetwork final : public Routed<GridNetwork> {
 public:
   GridNetwork(Topology Topo, unsigned NumNodes, const CostModel &C,
               double HopNs, double WordNs)
-      : RoutedNetwork(Topo, NumNodes, C), Wrap(Topo == Topology::Torus2D),
+      : Routed(Topo, NumNodes, C), Wrap(Topo == Topology::Torus2D),
         Side(gridSide(NumNodes)), Rows((NumNodes + Side - 1) / Side) {
     // Directed link n -> m for every neighboring pair; the torus adds the
     // wraparound edges of each full-length ring (a 2-ring's wrap edge would
@@ -233,17 +293,15 @@ public:
     }
   }
 
-  std::vector<unsigned> route(unsigned From, unsigned To) const override {
-    std::vector<unsigned> Out;
-    if (From == To)
-      return Out;
+  template <typename Visit>
+  void walk(unsigned From, unsigned To, Visit &&V) const {
     unsigned Y1 = From / Side;
     unsigned X2 = To % Side, Y2 = To / Side;
     unsigned Cur = From;
     auto Step = [&](unsigned Next) {
       int L = LinkAt[size_t(Cur) * numNodes() + Next];
       assert(L >= 0 && "route stepped over a missing link");
-      Out.push_back(static_cast<unsigned>(L));
+      V(static_cast<unsigned>(L));
       Cur = Next;
     };
     auto WalkX = [&](unsigned TargetX) {
@@ -267,7 +325,6 @@ public:
       WalkY(Y2);
       WalkX(X2);
     }
-    return Out;
   }
 
 private:
@@ -306,11 +363,11 @@ private:
 /// level l is n / 4^l. A transfer climbs up-links to the lowest common
 /// ancestor, then descends down-links. Each level's links halve WordNs
 /// (double the bandwidth) relative to the one below — the "fat" part.
-class FatTreeNetwork final : public RoutedNetwork {
+class FatTreeNetwork final : public Routed<FatTreeNetwork> {
 public:
   FatTreeNetwork(unsigned NumNodes, const CostModel &C, double HopNs,
                  double WordNs)
-      : RoutedNetwork(Topology::FatTree, NumNodes, C) {
+      : Routed(Topology::FatTree, NumNodes, C) {
     unsigned Entities = NumNodes; // entities at the level below the switches
     for (unsigned Level = 1; Entities > 1; ++Level) {
       double LevelWordNs = WordNs / double(1u << (Level - 1));
@@ -326,19 +383,16 @@ public:
     }
   }
 
-  std::vector<unsigned> route(unsigned From, unsigned To) const override {
-    std::vector<unsigned> Out;
-    if (From == To)
-      return Out;
+  template <typename Visit>
+  void walk(unsigned From, unsigned To, Visit &&V) const {
     // Lowest common ancestor level: smallest l with From/4^l == To/4^l.
     unsigned Lca = 0;
     for (unsigned A = From, B = To; A != B; A >>= 2, B >>= 2)
       ++Lca;
     for (unsigned L = 1; L <= Lca; ++L)
-      Out.push_back(UpBase[L - 1] + (From >> (2 * (L - 1))));
+      V(UpBase[L - 1] + (From >> (2 * (L - 1))));
     for (unsigned L = Lca; L >= 1; --L)
-      Out.push_back(DownBase[L - 1] + (To >> (2 * (L - 1))));
-    return Out;
+      V(DownBase[L - 1] + (To >> (2 * (L - 1))));
   }
 
 private:

@@ -126,7 +126,8 @@ public:
 
   /// The directed link indices a transfer From -> To traverses, in order
   /// (empty for the ideal network). Pure — exposed so conservation tests
-  /// can re-route the pair matrix over a fresh identical model.
+  /// can re-route the pair matrix over a fresh identical model. It collects
+  /// the same route walk transferDone() makes in place.
   virtual std::vector<unsigned> route(unsigned /*From*/,
                                       unsigned /*To*/) const {
     return {};

@@ -47,12 +47,22 @@ struct GlobalAddr {
   }
 };
 
-/// A dynamically-typed runtime value (one machine word).
+/// A dynamically-typed runtime value (one machine word): a one-byte kind
+/// and a union of the three payloads, 16 bytes in all, so frame images,
+/// heap words and bytecode constants stay small. Only the field the kind
+/// selects carries meaning. A read that does not check the kind first goes
+/// through asInt(), which returns 0 for any other kind: the value the
+/// inactive fields held when each payload had storage of its own, which
+/// programs observe (negating a pointer yields 0; a double main exits 0).
 struct RtValue {
-  enum class Kind { Undef, Int, Dbl, Ptr } K = Kind::Undef;
-  int64_t I = 0;
-  double D = 0.0;
-  GlobalAddr P;
+  enum class Kind : uint8_t { Undef, Int, Dbl, Ptr } K = Kind::Undef;
+  union {
+    int64_t I;
+    double D;
+    GlobalAddr P;
+  };
+
+  RtValue() : I(0) {}
 
   static RtValue undef() { return RtValue(); }
   static RtValue makeInt(int64_t V) {
@@ -73,6 +83,9 @@ struct RtValue {
     R.P = A;
     return R;
   }
+
+  /// The integer field, or 0 when the value is not an integer.
+  int64_t asInt() const { return K == Kind::Int ? I : 0; }
 
   bool isUndef() const { return K == Kind::Undef; }
 
@@ -107,6 +120,7 @@ struct RtValue {
     return "<bad>";
   }
 };
+static_assert(sizeof(RtValue) == 16, "RtValue is a kind byte plus one word");
 
 /// Dynamic counts of EARTH runtime operations, as the paper's Figure 10
 /// reports them: read-data, write-data and blkmov operations.

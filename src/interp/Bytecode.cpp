@@ -28,8 +28,8 @@ namespace {
 
 /// The flat activation image: one word vector for every slot's storage plus
 /// one availability time per slot. Parallel-sequence branches share the
-/// image (shared_ptr); forall iterations copy it — exactly the sharing the
-/// AST walker gets from its per-variable map.
+/// image; forall iterations copy it — exactly the sharing the AST walker
+/// gets from its per-variable map.
 struct BcLocals {
   std::vector<RtValue> Words;
   std::vector<double> Avail;
@@ -38,10 +38,17 @@ struct BcLocals {
 /// One function activation. PC indexes BF->Code; Joins holds the join
 /// contexts of the parallel constructs currently open in this frame
 /// (properly nested, so a stack suffices).
+///
+/// Locals is a pooled image (see acquireLocals) with one owner and no
+/// reference count. A call's frame and a forall iteration own theirs and
+/// return it to the pool when they pop. A parallel-sequence branch borrows
+/// the image of the frame that spawned it: that frame cannot pop before
+/// its Join, which waits for every branch to finish.
 struct BcFrame : MachineFrame {
   const BytecodeFunction *BF = nullptr;
   int32_t PC = 0;
-  std::shared_ptr<BcLocals> Locals;
+  BcLocals *Locals = nullptr;
+  bool OwnsLocals = true;       ///< False for a borrowed branch image.
   const Var *ResultV = nullptr; ///< Result variable in the caller frame.
   int32_t ResultSlot = -1;      ///< Its slot there (-1: none/no storage).
   std::vector<std::shared_ptr<JoinCtx>> Joins;
@@ -59,9 +66,6 @@ class BcInterp : Machine {
 public:
   BcInterp(const BytecodeModule &BM, const MachineConfig &Cfg)
       : Machine(Cfg), BM(BM) {}
-  /// Frames park their images in LocalsFree on release, so the fibers
-  /// holding them go before the pool does.
-  ~BcInterp() { Fibers.clear(); }
 
   RunResult run(const std::string &Entry, const std::vector<RtValue> &Args) {
     return Machine::run(*this, *BM.M, Entry, Args);
@@ -139,48 +143,46 @@ private:
 
   /// A new fiber whose frame stack has room for the call depths the
   /// workloads actually reach: growing the stack move-constructs every
-  /// frame below (two refcount bumps per frame for the Locals image).
+  /// frame below.
   BcFiber *newFiber() {
     BcFiber *F = Machine::newFiber<BcFiber>();
     F->Stack.reserve(8);
     return F;
   }
 
-  /// A child fiber entering Fr's function at \p PC.
-  BcFiber *newBranch(const BcFrame &Fr, int32_t PC,
-                     std::shared_ptr<BcLocals> Locals) {
+  /// A child fiber entering Fr's function at \p PC with image \p Locals,
+  /// which it owns (a forall iteration's copy) or borrows from Fr (a
+  /// parallel-sequence branch).
+  BcFiber *newBranch(const BcFrame &Fr, int32_t PC, BcLocals *Locals,
+                     bool Owns) {
     BcFiber *Child = newFiber();
     BcFrame BFr;
     BFr.BF = Fr.BF;
     BFr.Node = Fr.Node;
-    BFr.Locals = std::move(Locals);
+    BFr.Locals = Locals;
+    BFr.OwnsLocals = Owns;
     BFr.PC = PC;
     Child->Stack.push_back(std::move(BFr));
     return Child;
   }
 
-  /// Hands out a pooled activation image wrapped in a shared_ptr whose
-  /// deleter parks it on the free list instead of freeing: activations are
-  /// created at extreme rates (one per call, one per forall iteration), and
+  /// Hands out a pooled activation image; its owner parks it back on the
+  /// free list when its frame pops (see BcFrame). Activations are created
+  /// at extreme rates (one per call, one per forall iteration), and
   /// recycling keeps the slot/avail vector capacity, so a steady-state
-  /// activation allocates only the control block.
-  std::shared_ptr<BcLocals> acquireLocals() {
-    BcLocals *L;
-    if (LocalsFree.empty()) {
-      LocalsArena.emplace_back();
-      L = &LocalsArena.back();
-    } else {
-      L = LocalsFree.back();
-      LocalsFree.pop_back();
-    }
-    return std::shared_ptr<BcLocals>(
-        L, [this](BcLocals *P) { LocalsFree.push_back(P); });
+  /// activation allocates nothing.
+  BcLocals *acquireLocals() {
+    if (LocalsFree.empty())
+      return &LocalsArena.emplace_back();
+    BcLocals *L = LocalsFree.back();
+    LocalsFree.pop_back();
+    return L;
   }
 
   /// Pooled copy of an activation image (forall iterations capture the
   /// driver frame by value).
-  std::shared_ptr<BcLocals> copyLocals(const BcLocals &Src) {
-    auto L = acquireLocals();
+  BcLocals *copyLocals(const BcLocals &Src) {
+    BcLocals *L = acquireLocals();
     *L = Src;
     return L;
   }
@@ -188,9 +190,8 @@ private:
   /// Builds the flat activation image of \p BF on \p Node, allocating
   /// memory cells for function-scope shared variables in slot order (the
   /// same order the AST walker's makeLocals allocates them).
-  std::shared_ptr<BcLocals> makeLocals(const BytecodeFunction *BF,
-                                       unsigned Node) {
-    auto L = acquireLocals();
+  BcLocals *makeLocals(const BytecodeFunction *BF, unsigned Node) {
+    BcLocals *L = acquireLocals();
     L->Words.assign(BF->FrameWords, RtValue());
     L->Avail.assign(BF->Slots.size(), 0.0);
     // SharedCellOffs lists the shared-variable cells in slot order — the
@@ -487,6 +488,8 @@ private:
       word(*Parent, Done.ResultSlot) = *Result;
       Parent->Locals->Avail[Done.ResultSlot] = BlockTime;
     }
+    if (Done.OwnsLocals)
+      LocalsFree.push_back(Done.Locals);
     return St;
   }
 
@@ -507,7 +510,7 @@ private:
   const BytecodeModule &BM;
   /// BcLocals recycling pool (see acquireLocals). The deque owns every
   /// image ever handed out (stable addresses); the free list holds the
-  /// currently unreferenced ones.
+  /// ones no frame owns.
   std::deque<BcLocals> LocalsArena;
   std::vector<BcLocals *> LocalsFree;
 };
@@ -517,9 +520,9 @@ private:
 // step. The loop caches the top frame pointer and its instruction stream per
 // activation instead of re-deriving both every step; the caches are
 // refreshed at exactly the points the frame stack can change (Call / Return
-// / ImplicitRet). The machine's step accounting (fuel, the EU preemption
-// quantum, and the EU clock update on every step) runs at exactly the AST
-// walker's step boundaries.
+// / ImplicitRet). The machine's step accounting (fuel and the EU preemption
+// quantum) runs at exactly the AST walker's step boundaries, and the EU
+// clock is written once, where the slice ends.
 //===----------------------------------------------------------------------===//
 
 void BcInterp::runFiber(Fiber *Base, double T) {
@@ -623,7 +626,7 @@ void BcInterp::runFiber(Fiber *Base, double T) {
         goto BlockRetry;
       }
       Now += cost().StmtCost;
-      const int64_t V = valueOf(*Fr, I.X).I;
+      const int64_t V = valueOf(*Fr, I.X).asInt();
       int32_t Target = I.A;
       // Both strategies yield the target of the first source-order case
       // matching V (see BcSwitchMode; dedup at lowering keeps the first).
@@ -657,10 +660,11 @@ void BcInterp::runFiber(Fiber *Base, double T) {
       auto Join = std::make_shared<JoinCtx>();
       Fr->Joins.push_back(Join);
       ++Fr->PC;
-      // Branches share the activation locals.
+      // Branches borrow the activation locals.
       const int32_t *Branches = Fr->BF->BranchPool.data() + I.B;
       for (uint32_t J = 0; J != I.Words; ++J)
-        spawn(newBranch(*Fr, Branches[J], Fr->Locals), Join, Fr->Node, Now);
+        spawn(newBranch(*Fr, Branches[J], Fr->Locals, /*Owns=*/false), Join,
+              Fr->Node, Now);
       break;
     }
     case BcOp::Join:
@@ -685,14 +689,13 @@ void BcInterp::runFiber(Fiber *Base, double T) {
         break;
       }
       // Each iteration captures the driver's variables by value.
-      spawn(newBranch(*Fr, I.A, copyLocals(*Fr->Locals)), Fr->Joins.back(),
-            Fr->Node, Now);
+      spawn(newBranch(*Fr, I.A, copyLocals(*Fr->Locals), /*Owns=*/true),
+            Fr->Joins.back(), Fr->Node, Now);
       ++Fr->PC; // Fall into the Step region.
       break;
     }
     }
 
-    advanceEU(Node, Now);
     ++StepsThisRun;
   }
 

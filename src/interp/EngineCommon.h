@@ -90,8 +90,10 @@ inline RtValue evalBinary(BinaryOp Op, const RtValue &A, const RtValue &B) {
   }
 
   if (A.K == RtValue::Kind::Dbl || B.K == RtValue::Kind::Dbl) {
-    double X = A.K == RtValue::Kind::Dbl ? A.D : static_cast<double>(A.I);
-    double Y = B.K == RtValue::Kind::Dbl ? B.D : static_cast<double>(B.I);
+    double X =
+        A.K == RtValue::Kind::Dbl ? A.D : static_cast<double>(A.asInt());
+    double Y =
+        B.K == RtValue::Kind::Dbl ? B.D : static_cast<double>(B.asInt());
     switch (Op) {
     case BinaryOp::Add: return RtValue::makeDbl(X + Y);
     case BinaryOp::Sub: return RtValue::makeDbl(X - Y);
@@ -113,7 +115,7 @@ inline RtValue evalBinary(BinaryOp Op, const RtValue &A, const RtValue &B) {
     }
   }
 
-  int64_t X = A.I, Y = B.I;
+  int64_t X = A.asInt(), Y = B.asInt();
   switch (Op) {
   case BinaryOp::Add: return RtValue::makeInt(wrapAdd(X, Y));
   case BinaryOp::Sub: return RtValue::makeInt(wrapSub(X, Y));
@@ -146,12 +148,13 @@ inline RtValue evalBinary(BinaryOp Op, const RtValue &A, const RtValue &B) {
 inline RtValue evalUnary(UnaryOp Op, const RtValue &A) {
   switch (Op) {
   case UnaryOp::Neg:
-    return A.K == RtValue::Kind::Dbl ? RtValue::makeDbl(-A.D)
-                                     : RtValue::makeInt(wrapSub(0, A.I));
+    if (A.K == RtValue::Kind::Dbl)
+      return RtValue::makeDbl(-A.D);
+    return RtValue::makeInt(wrapSub(0, A.asInt()));
   case UnaryOp::Not:
     return RtValue::makeInt(A.truthy() ? 0 : 1);
   case UnaryOp::IntToDouble:
-    return RtValue::makeDbl(static_cast<double>(A.I));
+    return RtValue::makeDbl(static_cast<double>(A.asInt()));
   case UnaryOp::DoubleToInt:
     if (A.K != RtValue::Kind::Dbl)
       return A;

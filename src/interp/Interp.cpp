@@ -501,7 +501,7 @@ private:
           return StepStatus::BlockRetry;
         }
         Now += cost().StmtCost;
-        int64_t V = operandValue(Fr, Sw.Val).I;
+        int64_t V = operandValue(Fr, Sw.Val).asInt();
         const SeqStmt *Body = Sw.Default.get();
         for (const auto &C : Sw.Cases)
           if (C.Value == V) {
@@ -595,7 +595,6 @@ void Interp::runFiber(Fiber *Base, double T) {
       return;
     double BlockTime = 0.0;
     StepStatus St = step(F, Now, BlockTime);
-    advanceEU(Node, Now);
     switch (St) {
     case StepStatus::Continue:
       continue;

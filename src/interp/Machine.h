@@ -153,8 +153,12 @@ protected:
   //===--------------------------------------------------------------------===
   // EU slices. A fiber's node is stable within one run: migrations and
   // remote returns exit through YieldAt, so one EU slice spans the whole
-  // run. An engine's run loop calls beginSlice, then nextStep before and
-  // advanceEU after every step, and leaves through leaveEU.
+  // run. An engine's run loop calls beginSlice, then nextStep before every
+  // step, and leaves through leaveEU. The node's EU clock is written once,
+  // where the slice ends (leaveEU, or nextStep when the quantum expires):
+  // nothing reads it while the slice runs, since another fiber can start
+  // on the node only after the slice ends, and Now never decreases within
+  // a slice.
   //===--------------------------------------------------------------------===
 
   /// Gives \p Node's EU to \p F at \p T; returns the slice start, after a
@@ -183,13 +187,10 @@ protected:
       fail("step limit exceeded (infinite loop?)");
     if (!Cfg.EUQuantum || StepsThisRun < Cfg.EUQuantum)
       return true;
+    advanceEU(Node, Now); // endSlice's eu-clock event reads it.
     endSlice(F, Node, Start, Now);
     schedule(F, Now);
     return false;
-  }
-
-  void advanceEU(unsigned Node, double Now) {
-    EUClock[Node] = std::max(EUClock[Node], Now);
   }
 
   /// Ends the slice of a fiber that blocked, yielded, waits on a join or
@@ -431,7 +432,7 @@ protected:
     case CallPlacement::Home:
       return 0;
     case CallPlacement::AtNode: {
-      int64_t N = PlaceArg().I;
+      int64_t N = PlaceArg().asInt();
       if (N < 0)
         fail("@node with negative index");
       // Logical index -> node through the pluggable distribution
@@ -468,17 +469,18 @@ protected:
       Now += cost().StmtCost;
       return RtValue::makeInt(K == Intrinsic::MyNode ? Node : Mem.numNodes());
     case Intrinsic::IntSqrt: {
-      RtValue V = Arg();
-      if (V.I < 0)
+      int64_t V = Arg().asInt();
+      if (V < 0)
         fail("isqrt of negative value");
       Now += cost().StmtCost * 4;
       return RtValue::makeInt(
-          static_cast<int64_t>(std::sqrt(static_cast<double>(V.I))));
+          static_cast<int64_t>(std::sqrt(static_cast<double>(V))));
     }
     case Intrinsic::Sqrt:
     case Intrinsic::Fabs: {
       RtValue V = Arg();
-      double X = V.K == RtValue::Kind::Dbl ? V.D : static_cast<double>(V.I);
+      double X =
+          V.K == RtValue::Kind::Dbl ? V.D : static_cast<double>(V.asInt());
       if (K == Intrinsic::Sqrt && X < 0)
         fail("sqrt of negative value");
       Now += cost().StmtCost * (K == Intrinsic::Sqrt ? 4 : 2);
@@ -486,11 +488,11 @@ protected:
                                                    : std::fabs(X));
     }
     case Intrinsic::PMalloc: {
-      RtValue WordsV = Arg();
-      if (WordsV.I <= 0)
+      int64_t Words = Arg().asInt();
+      if (Words <= 0)
         fail("pmalloc of non-positive size");
       unsigned Target = targetNode(P, Node, PlaceArg);
-      GlobalAddr Addr = Mem.allocate(Target, static_cast<unsigned>(WordsV.I));
+      GlobalAddr Addr = Mem.allocate(Target, static_cast<unsigned>(Words));
       Now += cost().StmtCost * 2;
       if (!Cfg.SequentialMode && Target != Node)
         Now += cost().SpawnCost; // Remote allocation request.
@@ -607,8 +609,7 @@ protected:
   std::vector<const Fiber *> LastFiber;
   std::vector<std::string> Output;
   uint64_t Steps = 0;
-  /// Every fiber of the run. Frames in them may hold engine resources, so
-  /// an engine whose resources die before this base clears it first.
+  /// Every fiber of the run.
   std::deque<std::unique_ptr<Fiber>> Fibers;
 
 private:
@@ -662,6 +663,10 @@ private:
       traceClock("su-clock", Tx.SuEnd, To, TraceTidSU, Tx.SuEnd);
     }
     return Tx.DoneAt;
+  }
+
+  void advanceEU(unsigned Node, double Now) {
+    EUClock[Node] = std::max(EUClock[Node], Now);
   }
 
   void endSlice(const Fiber *F, unsigned Node, double Start, double End) {

@@ -315,10 +315,11 @@ CompileService::getOrRun(const CompileRequest &CReq, const RunRequest &RReq,
       MachineConfig MC = RReq.machine();
       // The service owns profiling so the per-site report can be cached
       // with the result; a caller-supplied profiler would go stale on
-      // every cache hit, so it is overridden here. The caller's trace
-      // sink (MC.Trace, from the request) still sees the fresh run.
+      // every cache hit, so it is overridden here, and a request that did
+      // not ask for a profile runs without one. The caller's trace sink
+      // (MC.Trace, from the request) still sees the fresh run.
       CommProfiler Prof;
-      MC.Profiler = &Prof;
+      MC.Profiler = RReq.RecordProfile ? &Prof : nullptr;
       RunResult R = runProgram(*Art->M, MC, RReq.Entry, RReq.Args);
       Sim->OK = R.OK;
       Sim->Error = std::move(R.Error);
@@ -328,7 +329,7 @@ CompileService::getOrRun(const CompileRequest &CReq, const RunRequest &RReq,
       Sim->StepsExecuted = R.StepsExecuted;
       Sim->Output = std::move(R.Output);
       Sim->WordsPerNode = std::move(R.WordsPerNode);
-      if (R.OK)
+      if (R.OK && RReq.RecordProfile)
         Sim->ProfileJson = profileReportJson(*Art->M, Prof, &Art->Remarks);
     }
   } catch (const std::exception &E) {

@@ -12,7 +12,8 @@
 ///
 ///  - Every artifact a request can produce — the verified SIMPLE module
 ///    with its memoized bytecode, the emitted Threaded-C text, remarks,
-///    and the simulated result with its per-site comm profile — is keyed
+///    and the simulated result with, when the request asks for one
+///    (RunRequest::RecordProfile), its per-site comm profile — is keyed
 ///    by the content hash of its request value (CompileRequest::keyBytes,
 ///    RunRequest::keyBytes; see driver/Request.h). Identical requests from
 ///    any number of concurrent clients share one cached artifact.
@@ -38,7 +39,8 @@
 /// function of (module, machine config) — identical across engines, node
 /// schedules and host threads, which the engine-equivalence suite pins —
 /// so replaying a cached response is observationally identical to
-/// recomputing it, including the serialized comm profile byte for byte.
+/// recomputing it, including the serialized comm profile byte for byte
+/// (for each RecordProfile value, which is part of the key).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,8 +124,9 @@ struct CompiledArtifact {
 };
 
 /// An immutable simulated-run artifact for one (CompileRequest, RunRequest)
-/// pair: the full deterministic result plus the serialized per-site comm
-/// profile (recorded by a service-owned profiler on the fresh execution).
+/// pair: the full deterministic result plus, when RunRequest::RecordProfile
+/// is set, the serialized per-site comm profile (recorded by a
+/// service-owned profiler on the fresh execution).
 struct SimArtifact {
   bool OK = false;
   std::string Error;
@@ -133,7 +136,9 @@ struct SimArtifact {
   uint64_t StepsExecuted = 0;
   std::vector<std::string> Output;
   std::vector<size_t> WordsPerNode;
-  std::string ProfileJson; ///< profileReportJson over the run's profiler.
+  /// profileReportJson over the run's profiler; empty when the request did
+  /// not set RunRequest::RecordProfile or the run failed.
+  std::string ProfileJson;
   std::string KeyHex;      ///< Content address (compile key ^ run key).
   size_t Bytes = 0;
 };

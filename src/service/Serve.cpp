@@ -315,6 +315,8 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
     }
     bool WantProfile = Obj.getBool("profile", false);
     bool WantThreadedC = Obj.getBool("threaded_c", false);
+    // Only a run that answers with its profile records one.
+    RReq.RecordProfile = WantProfile;
     if (Opts.Echo)
       fprintf(stderr, "earthcc --serve: %s key=%s\n", Op.c_str(),
               CReq.keyHex().c_str());

@@ -48,6 +48,26 @@ EngineRun runWith(Pipeline &P, const Module &M, MachineConfig MC,
   return {std::move(R), Sink.json(), std::move(Profile)};
 }
 
+/// Asserts two runtime values are the same value: the same kind, and equal
+/// in the one field that kind selects (the other fields carry no meaning).
+void expectSameValue(const RtValue &A, const RtValue &B,
+                     const std::string &What) {
+  ASSERT_EQ(A.K, B.K) << What;
+  switch (A.K) {
+  case RtValue::Kind::Undef:
+    break;
+  case RtValue::Kind::Int:
+    EXPECT_EQ(A.I, B.I) << What;
+    break;
+  case RtValue::Kind::Dbl:
+    EXPECT_DOUBLE_EQ(A.D, B.D) << What;
+    break;
+  case RtValue::Kind::Ptr:
+    EXPECT_EQ(A.P, B.P) << What;
+    break;
+  }
+}
+
 /// Asserts the two engines' results are indistinguishable.
 void expectIdentical(const EngineRun &Ast, const EngineRun &Bc,
                      const std::string &What) {
@@ -56,9 +76,7 @@ void expectIdentical(const EngineRun &Ast, const EngineRun &Bc,
   ASSERT_EQ(A.OK, B.OK) << What << ": " << A.Error << " / " << B.Error;
   EXPECT_EQ(A.Error, B.Error) << What;
   EXPECT_DOUBLE_EQ(A.TimeNs, B.TimeNs) << What;
-  EXPECT_EQ(A.ExitValue.K, B.ExitValue.K) << What;
-  EXPECT_EQ(A.ExitValue.I, B.ExitValue.I) << What;
-  EXPECT_DOUBLE_EQ(A.ExitValue.D, B.ExitValue.D) << What;
+  expectSameValue(A.ExitValue, B.ExitValue, What + "/exit");
   EXPECT_EQ(A.StepsExecuted, B.StepsExecuted) << What;
   EXPECT_EQ(A.Output, B.Output) << What;
   EXPECT_EQ(A.Counters.ReadData, B.Counters.ReadData) << What;
@@ -190,10 +208,7 @@ void expectSameOperand(const BcOperand &A, const BcOperand &B,
   EXPECT_EQ(A.Kind, B.Kind) << What;
   EXPECT_EQ(A.Slot, B.Slot) << What;
   EXPECT_EQ(A.V, B.V) << What;
-  EXPECT_EQ(A.Const.K, B.Const.K) << What;
-  EXPECT_EQ(A.Const.I, B.Const.I) << What;
-  EXPECT_DOUBLE_EQ(A.Const.D, B.Const.D) << What;
-  EXPECT_EQ(A.Const.P, B.Const.P) << What;
+  expectSameValue(A.Const, B.Const, What + "/const");
 }
 
 /// Field-wise BcInsn equality between two lowerings of the SAME Module:
@@ -382,6 +397,31 @@ TEST(CommProfileTest, ReportJoinsRemarksFromBothPasses) {
   std::string Json = profileReportJson(*CR.M, Prof, &CR.Remarks);
   EXPECT_NE(Json.find("\"total_msgs\""), std::string::npos);
   EXPECT_NE(Json.find("\"remarks\""), std::string::npos);
+}
+
+// Exit values of every kind agree between the engines, compared in the
+// field their kind selects: a negative integer exit (whose bits read as a
+// double are a NaN) and a double exit.
+TEST(EngineExitValueTest, NegativeIntAndDoubleExits) {
+  struct Case {
+    const char *Src;
+    RtValue Exit;
+  } Cases[] = {
+      {"int main() { int a; a = 3; return a - 4; }", RtValue::makeInt(-1)},
+      {"double main() { double d; d = 2.5; return d - 5.0; }",
+       RtValue::makeDbl(-2.5)},
+  };
+  for (const Case &C : Cases) {
+    Pipeline P(PipelineOptions::simple());
+    CompileResult CR = P.compile(C.Src);
+    ASSERT_TRUE(CR.OK) << C.Src << ": " << CR.Messages;
+    MachineConfig MC;
+    MC.NumNodes = 2;
+    auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
+    ASSERT_TRUE(Ast.R.OK) << C.Src << ": " << Ast.R.Error;
+    expectSameValue(Ast.R.ExitValue, C.Exit, C.Src);
+    expectIdentical(Ast, runWith(P, *CR.M, MC, ExecEngine::Bytecode), C.Src);
+  }
 }
 
 // Runtime errors must be reported with identical text through both engines.

@@ -140,6 +140,35 @@ TEST(SemanticsTest, HeapListTraversal) {
   EXPECT_GT(R.Counters.ReadData, 0u);
 }
 
+// A runtime value has one meaningful field, chosen by its kind; a step that
+// reads the integer field without checking the kind reads zero from any
+// other kind. Negating a pointer is such a read: both engines print and
+// return 0, not a negated address.
+TEST(SemanticsTest, InactiveFieldReadsAsZero) {
+  Pipeline P(PipelineOptions::simple());
+  CompileResult CR = P.compile(R"(
+    struct node { int v; };
+    int main() {
+      node *p;
+      int x;
+      p = pmalloc(sizeof(node));
+      x = -p;
+      print(x);
+      return x;
+    }
+  )");
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+  for (ExecEngine Engine : {ExecEngine::AST, ExecEngine::Bytecode}) {
+    MachineConfig MC = machine(1);
+    MC.Engine = Engine;
+    RunResult R = P.run(*CR.M, MC);
+    ASSERT_TRUE(R.OK) << R.Error;
+    EXPECT_EQ(R.Output, std::vector<std::string>{"0"});
+    EXPECT_EQ(R.ExitValue.K, RtValue::Kind::Int);
+    EXPECT_EQ(R.ExitValue.I, 0);
+  }
+}
+
 TEST(SemanticsTest, PrintOutput) {
   RunResult R = runSrc(R"(
     int main() {

@@ -7,23 +7,50 @@
 // the historical constant-latency arithmetic, and — for every routed
 // topology — traffic conservation: the words each link carried must equal
 // the pair matrix of injected transfers pushed through route(), and the
-// profiler's network view must agree with its per-site totals.
+// profiler's network view must agree with its per-site totals. A golden
+// pins every link's statistics of one real workload per routed topology;
+// after an intentional change to the network model, regenerate it with
+//
+//   EARTHCC_REGEN_GOLDEN=1 ./build/tests/network_test
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/ProfileReport.h"
 #include "earth/NetworkModel.h"
 #include "support/CommProfiler.h"
+#include "support/Json.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <numeric>
+#include <sstream>
+
+#ifndef EARTHCC_GOLDEN_DIR
+#error "EARTHCC_GOLDEN_DIR must point at tests/golden"
+#endif
 
 using namespace earthcc;
 
 namespace {
 
 CostModel testCosts() { return CostModel(); }
+
+std::string goldenPath() {
+  return std::string(EARTHCC_GOLDEN_DIR) + "/network_links.json";
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return {};
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
 
 } // namespace
 
@@ -288,4 +315,64 @@ TEST(NetworkIntegrationTest, DistributionChangesPlacement) {
   EXPECT_EQ(RC.ExitValue.I, RB.ExitValue.I);
   // But the words land on different nodes.
   EXPECT_NE(RC.WordsPerNode, RB.WordsPerNode);
+}
+
+// Per-link statistics of a real run, pinned: optimized tsp at 16 nodes on
+// every routed topology, as `earthcc --workload tsp --nodes 16 --topology T
+// --profile=json` reports them. The golden holds each run's time_ns and the
+// profile's "network" block (every link's msgs, words, busy_ns, utilization
+// and max_queue_depth), one link per line. Engine traffic issues transfers
+// out of time order (a reply leg leaves at its future SU completion), which
+// the synthetic patterns above never do, so this is what pins the link
+// queues' drain order.
+TEST(NetworkGoldenTest, TspLinkStatistics) {
+  const Workload *W = findWorkload("tsp");
+  ASSERT_NE(W, nullptr);
+  Pipeline P(workloadOptions(RunMode::Optimized));
+  CompileResult CR = P.compile(W->Source);
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+
+  const Topology Topos[] = {Topology::Bus, Topology::Mesh2D,
+                            Topology::Torus2D, Topology::FatTree};
+  std::string Text = "{\n";
+  for (size_t T = 0; T != std::size(Topos); ++T) {
+    MachineConfig MC = workloadMachine(RunMode::Optimized, 16);
+    MC.Topo = Topos[T];
+    CommProfiler Prof;
+    MC.Profiler = &Prof;
+    RunResult R = P.run(*CR.M, MC);
+    ASSERT_TRUE(R.OK) << topologyName(Topos[T]) << ": " << R.Error;
+    json::Value Profile;
+    std::string Err;
+    ASSERT_TRUE(json::parse(profileReportJson(*CR.M, Prof, nullptr), Profile,
+                            Err))
+        << Err;
+    const json::Value *Net = Profile.find("network");
+    ASSERT_NE(Net, nullptr) << topologyName(Topos[T]);
+    const json::Value *Links = Net->find("links");
+    ASSERT_NE(Links, nullptr) << topologyName(Topos[T]);
+    Text += "\"" + std::string(topologyName(Topos[T])) +
+            "\":{\"time_ns\":" + json::Value::number(R.TimeNs).str() +
+            ",\"network\":{\"topology\":" + Net->find("topology")->str() +
+            ",\"end_ns\":" + Net->find("end_ns")->str() + ",\"links\":[\n";
+    for (size_t L = 0; L != Links->items().size(); ++L)
+      Text += Links->items()[L].str() +
+              (L + 1 != Links->items().size() ? ",\n" : "\n");
+    Text += std::string("]}}") + (T + 1 != std::size(Topos) ? ",\n" : "\n");
+  }
+  Text += "}\n";
+
+  if (std::getenv("EARTHCC_REGEN_GOLDEN")) {
+    std::ofstream Out(goldenPath());
+    ASSERT_TRUE(Out) << "cannot write " << goldenPath();
+    Out << Text;
+    GTEST_SKIP() << "regenerated " << goldenPath();
+  }
+  std::string Golden = readFile(goldenPath());
+  ASSERT_FALSE(Golden.empty())
+      << "missing golden file " << goldenPath()
+      << " (regenerate with EARTHCC_REGEN_GOLDEN=1)";
+  EXPECT_EQ(Text, Golden)
+      << "link statistics diverged from the golden; if the network model "
+         "changed intentionally, regenerate with EARTHCC_REGEN_GOLDEN=1";
 }

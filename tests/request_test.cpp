@@ -143,6 +143,19 @@ TEST(RunRequestKeyTest, NetworkModelFieldsPerturbKey) {
   EXPECT_EQ(Block.machine().DistBlockSize, 17u);
 }
 
+TEST(RunRequestKeyTest, ProfileFlagPerturbsKey) {
+  // Whether a run records its comm profile decides what the cached result
+  // holds, so the flag splits the cache. It is on by default, and it is no
+  // request option: the serve loop sets it from a request's "profile".
+  RunRequest Base;
+  EXPECT_TRUE(Base.RecordProfile);
+  RunRequest Off = Base;
+  Off.RecordProfile = false;
+  EXPECT_NE(Base.keyBytes(), Off.keyBytes());
+  for (const RequestOption &O : requestOptions())
+    EXPECT_STRNE(O.Name, "profile");
+}
+
 TEST(RunRequestKeyTest, InstrumentationDoesNotPerturbKey) {
   RunRequest A;
   RunRequest B = A;

@@ -13,6 +13,8 @@
 //    most recent entry survives, evicted keys recompute on next use.
 //  - Determinism: a cached response is bit-identical to a fresh one —
 //    simulated time, counters, and the serialized comm profile.
+//  - Profiles on request: a run records its comm profile only when the
+//    request asks for one, and asking is part of the key.
 //
 //===----------------------------------------------------------------------===//
 
@@ -239,6 +241,38 @@ TEST(ServiceDeterminismTest, CachedResponseBitIdenticalToFresh) {
     EXPECT_EQ(R->Sim->ProfileJson, Fresh1.Sim->ProfileJson);
   }
   EXPECT_FALSE(Fresh1.Sim->ProfileJson.empty());
+}
+
+// A run records its comm profile only when the request asks for one, and
+// the flag is key material: the profiled result is a different artifact,
+// so asking for it after an unprofiled run misses and runs again.
+TEST(ServiceProfileTest, ProfileRecordedOnlyWhenRequested) {
+  CompileService S(workers(2));
+  CompileRequest CReq = CompileRequest::optimized(Program);
+  RunRequest Off;
+  Off.Nodes = 2;
+  Off.RecordProfile = false;
+  RunResponse Plain = S.submitRun(CReq, Off).get();
+  ASSERT_TRUE(Plain.OK) << Plain.Error;
+  EXPECT_FALSE(Plain.CacheHit);
+  EXPECT_TRUE(Plain.Sim->ProfileJson.empty());
+
+  RunRequest On = Off;
+  On.RecordProfile = true;
+  RunResponse Profiled = S.submitRun(CReq, On).get();
+  ASSERT_TRUE(Profiled.OK) << Profiled.Error;
+  EXPECT_FALSE(Profiled.CacheHit);
+  EXPECT_NE(Profiled.Key, Plain.Key);
+  EXPECT_FALSE(Profiled.Sim->ProfileJson.empty());
+  // The profiler observes the run without changing it.
+  EXPECT_EQ(Profiled.Sim->TimeNs, Plain.Sim->TimeNs);
+  EXPECT_EQ(Profiled.Sim->StepsExecuted, Plain.Sim->StepsExecuted);
+
+  RunResponse Again = S.submitRun(CReq, On).get();
+  EXPECT_TRUE(Again.CacheHit);
+  EXPECT_EQ(Again.Sim->ProfileJson, Profiled.Sim->ProfileJson);
+  EXPECT_EQ(S.stats().RunExecutions, 2u);
+  EXPECT_EQ(S.stats().CompileExecutions, 1u);
 }
 
 TEST(ServiceFailureTest, CompileErrorsAreCachedDeterministically) {
