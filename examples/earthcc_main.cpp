@@ -21,8 +21,10 @@
 //                       request is served by the in-process CompileService
 //                       (content-addressed artifact cache, single-flight
 //                       dedup, worker pool)
-//   --workers N         service worker threads for --serve (0 = all cores)
+//   --workers N         service worker threads for --serve (0 = all cores,
+//                       at most 256)
 //   --cache-mb N        service artifact-cache budget for --serve, in MiB
+//                       (at most 1048576)
 //   --dump-ir           print the SIMPLE program before execution
 //   --dump-after-pass   print the SIMPLE program after every pipeline stage
 //   --emit-threaded     print the generated Threaded-C program
@@ -54,7 +56,6 @@
 #include "workloads/Workloads.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -77,8 +78,10 @@ static void usage(const char *Argv0) {
   std::fprintf(stderr,
                "\ndriver options:\n"
                "  --serve                serve JSON requests on stdin/stdout\n"
-               "  --workers N            --serve worker threads (0 = cores)\n"
-               "  --cache-mb N           --serve artifact cache budget (MiB)\n"
+               "  --workers N            --serve worker threads (0 = cores,\n"
+               "                         at most 256)\n"
+               "  --cache-mb N           --serve artifact cache budget (MiB,\n"
+               "                         at most 1048576)\n"
                "  --workload NAME        embedded Olden benchmark\n"
                "  --dump-ir              print SIMPLE before execution\n"
                "  --dump-after-pass      print SIMPLE after each stage\n"
@@ -151,7 +154,7 @@ int main(int argc, char **argv) {
 
   bool Serve = false;
   unsigned Workers = 0;
-  size_t CacheMB = 256;
+  unsigned CacheMB = 256;
   bool DumpIR = false, DumpAfterPass = false, EmitThreaded = false;
   bool Stats = false, Profile = false, ProfileJson = false;
   bool PrintRemarks = false;
@@ -191,18 +194,33 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: --%s requires a value\n", Name.c_str());
       return false;
     };
+    // A strict count with a fixed ceiling: each worker is an OS thread, and
+    // the cache budget is shifted from MiB to bytes.
+    auto NeedCount = [&](unsigned &Out, unsigned Max) {
+      if (!NeedValue())
+        return false;
+      const std::string Flag = "--" + Name;
+      if (!parseUnsignedValue(Value, Out, Err, Flag.c_str())) {
+        std::fprintf(stderr, "error: %s\n", Err.c_str());
+        return false;
+      }
+      if (Out > Max) {
+        std::fprintf(stderr, "error: %s is at most %u, got %u\n",
+                     Flag.c_str(), Max, Out);
+        return false;
+      }
+      return true;
+    };
 
     // Driver-local flags (output selection; not request content).
     if (Name == "serve") {
       Serve = true;
     } else if (Name == "workers") {
-      if (!NeedValue())
+      if (!NeedCount(Workers, 256))
         return 2;
-      Workers = static_cast<unsigned>(std::atoi(Value.c_str()));
     } else if (Name == "cache-mb") {
-      if (!NeedValue())
+      if (!NeedCount(CacheMB, 1u << 20))
         return 2;
-      CacheMB = static_cast<size_t>(std::atoll(Value.c_str()));
     } else if (Name == "dump-ir") {
       DumpIR = true;
     } else if (Name == "dump-after-pass") {
@@ -270,7 +288,7 @@ int main(int argc, char **argv) {
     }
     ServeOptions SO;
     SO.Service.Workers = Workers;
-    SO.Service.CacheBudgetBytes = CacheMB << 20;
+    SO.Service.CacheBudgetBytes = size_t(CacheMB) << 20;
     SO.BaseCompile = CReq; // process-wide defaults under each request
     SO.BaseRun = RReq;
     runServeLoop(std::cin, std::cout, SO);

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 using namespace earthcc;
 
@@ -23,9 +25,28 @@ using namespace earthcc;
 
 namespace {
 
-uint64_t asU64(const json::Value &Obj, std::string_view Key) {
-  double D = Obj.getNumber(Key, 0.0);
-  return D <= 0 ? 0 : static_cast<uint64_t>(D);
+/// Reads the integer \p V into \p Out; an absent value (null \p V) leaves
+/// \p Out as it is. A value that is not an integer \p Out can hold fails
+/// the load with an error naming \p Field.
+template <class IntT>
+bool readInt(const json::Value *V, const char *Field, IntT &Out,
+             std::string &Err) {
+  if (!V)
+    return true;
+  std::optional<int64_t> I = V->asInt64();
+  if (!I || !std::in_range<IntT>(*I)) {
+    Err = std::string("profile: \"") + Field +
+          "\" is not an integer in range";
+    return false;
+  }
+  Out = static_cast<IntT>(*I);
+  return true;
+}
+
+template <class IntT>
+bool readInt(const json::Value &Obj, const char *Field, IntT &Out,
+             std::string &Err) {
+  return readInt(Obj.find(Field), Field, Out, Err);
 }
 
 bool loadSite(const json::Value &S, ProfileSiteRow &Row, std::string &Err) {
@@ -37,20 +58,22 @@ bool loadSite(const json::Value &S, ProfileSiteRow &Row, std::string &Err) {
     Err = "profile: site row missing function/op";
     return false;
   }
-  Row.Site = static_cast<int64_t>(S.getNumber("site", -1));
+  Row.Site = -1;
+  if (!readInt(S, "site", Row.Site, Err) ||
+      !readInt(S, "line", Row.Line, Err) ||
+      !readInt(S, "col", Row.Col, Err) ||
+      !readInt(S, "msgs", Row.Msgs, Err) ||
+      !readInt(S, "words", Row.Words, Err) ||
+      !readInt(S, "local", Row.Local, Err) ||
+      !readInt(S, "lat_p50_ns", Row.LatP50Ns, Err) ||
+      !readInt(S, "lat_p90_ns", Row.LatP90Ns, Err) ||
+      !readInt(S, "lat_min_ns", Row.LatMinNs, Err) ||
+      !readInt(S, "lat_max_ns", Row.LatMaxNs, Err))
+    return false;
   Row.Function = S.getString("function", "");
-  Row.Line = static_cast<unsigned>(S.getNumber("line", 0));
-  Row.Col = static_cast<unsigned>(S.getNumber("col", 0));
   Row.Op = S.getString("op", "");
   Row.Access = S.getString("access", "");
-  Row.Msgs = asU64(S, "msgs");
-  Row.Words = asU64(S, "words");
-  Row.Local = asU64(S, "local");
   Row.LatMeanNs = S.getNumber("lat_mean_ns", 0.0);
-  Row.LatP50Ns = asU64(S, "lat_p50_ns");
-  Row.LatP90Ns = asU64(S, "lat_p90_ns");
-  Row.LatMinNs = asU64(S, "lat_min_ns");
-  Row.LatMaxNs = asU64(S, "lat_max_ns");
   if (const json::Value *R = S.find("remarks"); R && R->isArray())
     for (const json::Value &Item : R->items())
       if (Item.isString())
@@ -94,16 +117,16 @@ bool earthcc::loadProfileJson(std::string_view Text, ProfileData &Out,
     Out.Sites.push_back(std::move(Row));
   }
 
-  Out.TotalMsgs = asU64(Root, "total_msgs");
+  if (!readInt(Root, "total_msgs", Out.TotalMsgs, Err))
+    return false;
   if (const json::Value *TW = Root.find("traffic_words");
       TW && TW->isArray()) {
     for (const json::Value &RowV : TW->items()) {
       std::vector<uint64_t> Row;
       if (RowV.isArray())
         for (const json::Value &Cell : RowV.items())
-          Row.push_back(Cell.asNumber() <= 0
-                            ? 0
-                            : static_cast<uint64_t>(Cell.asNumber()));
+          if (!readInt(&Cell, "traffic_words", Row.emplace_back(), Err))
+            return false;
       Out.TrafficWords.push_back(std::move(Row));
     }
   }
@@ -116,13 +139,13 @@ bool earthcc::loadProfileJson(std::string_view Text, ProfileData &Out,
         Links && Links->isArray()) {
       for (const json::Value &L : Links->items()) {
         ProfileLinkRow Row;
+        if (!readInt(L, "msgs", Row.Msgs, Err) ||
+            !readInt(L, "words", Row.Words, Err) ||
+            !readInt(L, "max_queue_depth", Row.MaxQueueDepth, Err))
+          return false;
         Row.Name = L.getString("name", "");
-        Row.Msgs = asU64(L, "msgs");
-        Row.Words = asU64(L, "words");
         Row.BusyNs = L.getNumber("busy_ns", 0.0);
         Row.Utilization = L.getNumber("utilization", 0.0);
-        Row.MaxQueueDepth = static_cast<unsigned>(
-            L.getNumber("max_queue_depth", 0.0));
         Out.Links.push_back(std::move(Row));
       }
     }

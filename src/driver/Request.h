@@ -178,6 +178,11 @@ bool applyRequestEnv(CompileRequest &C, RunRequest &R, std::string &Err);
 /// Parses "on"/"true"/"1"/"" as true and "off"/"false"/"0" as false.
 bool parseOnOff(const std::string &V, bool &Out);
 
+/// Parses a decimal integer in [0, 2^32) strictly (no trailing text).
+/// Returns false with \p Err naming \p What on anything else.
+bool parseUnsignedValue(const std::string &V, unsigned &Out,
+                        std::string &Err, const char *What);
+
 } // namespace earthcc
 
 #endif // EARTHCC_DRIVER_REQUEST_H

@@ -33,21 +33,43 @@ size_t approxBytes(const SimArtifact &A) {
   B += A.Error.size() + A.ProfileJson.size();
   for (const std::string &Line : A.Output)
     B += Line.size() + sizeof(std::string);
-  B += A.WordsPerNode.size() * sizeof(size_t);
   return B;
 }
 
-/// The content address of one (compile, run) request pair: both canonical
-/// serializations joined with a separator neither can contain unescaped at
-/// record position (keyBytes records are `name=value;` with a version tag
-/// first, so a 0x1F byte never starts a record).
-std::string combinedKeyBytes(const std::string &CKey, const std::string &RKey) {
-  std::string K;
-  K.reserve(CKey.size() + 1 + RKey.size());
-  K += CKey;
-  K += '\x1f';
-  K += RKey;
-  return K;
+/// Simulates \p RReq on \p Art. A failed compile makes a failed run that
+/// carries the compiler's diagnostics.
+std::shared_ptr<SimArtifact> simulate(const CompiledArtifact &Art,
+                                      const RunRequest &RReq) {
+  auto Sim = std::make_shared<SimArtifact>();
+  try {
+    if (!Art.OK || !Art.M) {
+      Sim->Error = Art.Messages.empty() ? "compilation failed" : Art.Messages;
+    } else {
+      MachineConfig MC = RReq.machine();
+      // The service owns profiling so the per-site report can be cached
+      // with the result; a caller-supplied profiler would go stale on
+      // every cache hit, so it is overridden here, and a request that did
+      // not ask for a profile runs without one. The caller's trace sink
+      // (MC.Trace, from the request) still sees the fresh run.
+      CommProfiler Prof;
+      MC.Profiler = RReq.RecordProfile ? &Prof : nullptr;
+      RunResult R = runProgram(*Art.M, MC, RReq.Entry, RReq.Args);
+      Sim->OK = R.OK;
+      Sim->Error = std::move(R.Error);
+      Sim->TimeNs = R.TimeNs;
+      Sim->ExitValue = R.ExitValue;
+      Sim->Counters = R.Counters;
+      Sim->StepsExecuted = R.StepsExecuted;
+      Sim->Output = std::move(R.Output);
+      if (R.OK && RReq.RecordProfile)
+        Sim->ProfileJson = profileReportJson(*Art.M, Prof, &Art.Remarks);
+    }
+  } catch (const std::exception &E) {
+    Sim->OK = false;
+    Sim->Error = std::string("internal error: ") + E.what();
+  }
+  Sim->Bytes = approxBytes(*Sim);
+  return Sim;
 }
 
 } // namespace
@@ -57,31 +79,22 @@ CompileService::CompileService(ServiceConfig Config)
       OwnedReg(Config.Metrics ? nullptr : new MetricsRegistry()),
       Reg(Config.Metrics ? Config.Metrics : OwnedReg.get()),
       Epoch(std::chrono::steady_clock::now()), Pool(Config.Workers) {
-  // Registry-backed counters replacing the old ServiceStats fields. The
-  // request total is derived (hit + wait + miss), never double-counted.
-  CompileHits =
-      Reg->counter("svc.requests", {{"op", "compile"}, {"outcome", "hit"}});
-  CompileWaits =
-      Reg->counter("svc.requests", {{"op", "compile"}, {"outcome", "wait"}});
-  CompileExecs =
-      Reg->counter("svc.requests", {{"op", "compile"}, {"outcome", "miss"}});
-  RunHits = Reg->counter("svc.requests", {{"op", "run"}, {"outcome", "hit"}});
-  RunWaits =
-      Reg->counter("svc.requests", {{"op", "run"}, {"outcome", "wait"}});
-  RunExecs =
-      Reg->counter("svc.requests", {{"op", "run"}, {"outcome", "miss"}});
+  // The request total is derived (hit + wait + miss), never double-counted.
+  for (auto [O, Op] : {std::pair{&CompileOutcomes, "compile"},
+                       std::pair{&RunOutcomes, "run"}}) {
+    O->Hits = Reg->counter("svc.requests", {{"op", Op}, {"outcome", "hit"}});
+    O->Waits = Reg->counter("svc.requests", {{"op", Op}, {"outcome", "wait"}});
+    O->Misses =
+        Reg->counter("svc.requests", {{"op", Op}, {"outcome", "miss"}});
+    O->ReqNs[0] =
+        Reg->histogram("svc.request_ns", {{"op", Op}, {"outcome", "miss"}});
+    O->ReqNs[1] =
+        Reg->histogram("svc.request_ns", {{"op", Op}, {"outcome", "hit"}});
+  }
   EvictionCount = Reg->counter("svc.evictions");
   CacheBytesGauge = Reg->gauge("svc.cache_bytes");
   CacheEntriesGauge = Reg->gauge("svc.cache_entries");
   QueueDepthGauge = Reg->gauge("svc.queue_depth");
-  CompileReqNs[0] = Reg->histogram(
-      "svc.request_ns", {{"op", "compile"}, {"outcome", "miss"}});
-  CompileReqNs[1] = Reg->histogram("svc.request_ns",
-                                   {{"op", "compile"}, {"outcome", "hit"}});
-  RunReqNs[0] =
-      Reg->histogram("svc.request_ns", {{"op", "run"}, {"outcome", "miss"}});
-  RunReqNs[1] =
-      Reg->histogram("svc.request_ns", {{"op", "run"}, {"outcome", "hit"}});
 }
 
 CompileService::~CompileService() {
@@ -102,17 +115,7 @@ double CompileService::nowNs() const {
 
 // Queue depth counts submitted-but-unfinished requests (queued + running):
 // +1 at submission, -1 when the handler's completion has been delivered.
-
-std::future<CompileResponse> CompileService::submitCompile(CompileRequest Req) {
-  auto Prom = std::make_shared<std::promise<CompileResponse>>();
-  std::future<CompileResponse> Fut = Prom->get_future();
-  QueueDepthGauge.add(1);
-  Pool.run([this, Req = std::move(Req), Prom]() mutable {
-    Prom->set_value(handleCompile(Req));
-    QueueDepthGauge.add(-1);
-  });
-  return Fut;
-}
+// The future forms go through the callback forms.
 
 void CompileService::submitCompile(CompileRequest Req,
                                    std::function<void(CompileResponse)> Done) {
@@ -121,19 +124,6 @@ void CompileService::submitCompile(CompileRequest Req,
     Done(handleCompile(Req));
     QueueDepthGauge.add(-1);
   });
-}
-
-std::future<RunResponse> CompileService::submitRun(CompileRequest CReq,
-                                                   RunRequest RReq) {
-  auto Prom = std::make_shared<std::promise<RunResponse>>();
-  std::future<RunResponse> Fut = Prom->get_future();
-  QueueDepthGauge.add(1);
-  Pool.run(
-      [this, CReq = std::move(CReq), RReq = std::move(RReq), Prom]() mutable {
-        Prom->set_value(handleRun(CReq, RReq));
-        QueueDepthGauge.add(-1);
-      });
-  return Fut;
 }
 
 void CompileService::submitRun(CompileRequest CReq, RunRequest RReq,
@@ -146,6 +136,23 @@ void CompileService::submitRun(CompileRequest CReq, RunRequest RReq,
   });
 }
 
+std::future<CompileResponse> CompileService::submitCompile(CompileRequest Req) {
+  auto Prom = std::make_shared<std::promise<CompileResponse>>();
+  std::future<CompileResponse> Fut = Prom->get_future();
+  submitCompile(std::move(Req),
+                [Prom](CompileResponse R) { Prom->set_value(std::move(R)); });
+  return Fut;
+}
+
+std::future<RunResponse> CompileService::submitRun(CompileRequest CReq,
+                                                   RunRequest RReq) {
+  auto Prom = std::make_shared<std::promise<RunResponse>>();
+  std::future<RunResponse> Fut = Prom->get_future();
+  submitRun(std::move(CReq), std::move(RReq),
+            [Prom](RunResponse R) { Prom->set_value(std::move(R)); });
+  return Fut;
+}
+
 //===----------------------------------------------------------------------===//
 // Request handlers (run on pool workers)
 //===----------------------------------------------------------------------===//
@@ -153,17 +160,14 @@ void CompileService::submitRun(CompileRequest CReq, RunRequest RReq,
 CompileResponse CompileService::handleCompile(const CompileRequest &Req) {
   double Start = nowNs();
   CompileResponse Resp;
-  Resp.Key = Req.keyHex();
-  bool Hit = false;
-  std::shared_ptr<const CompiledArtifact> Art = getOrCompile(Req, Hit);
+  std::shared_ptr<const CompiledArtifact> Art =
+      getOrCompile(Req, Req.keyBytes(), Resp.CacheHit);
   Resp.OK = Art->OK;
   Resp.Messages = Art->Messages;
-  Resp.CacheHit = Hit;
+  Resp.Key = Art->KeyHex;
   Resp.Artifact = std::move(Art);
-  Resp.WallNs = nowNs() - Start;
-  CompileReqNs[Hit].observe(
-      Resp.WallNs <= 0 ? 0 : static_cast<uint64_t>(Resp.WallNs));
-  traceRequest("compile", Resp.Key, Hit, Start, Resp.WallNs);
+  Resp.WallNs =
+      finishRequest(CompileOutcomes, "compile", Resp.Key, Resp.CacheHit, Start);
   return Resp;
 }
 
@@ -171,266 +175,161 @@ RunResponse CompileService::handleRun(const CompileRequest &CReq,
                                       const RunRequest &RReq) {
   double Start = nowNs();
   RunResponse Resp;
-  bool Hit = false, CompileHit = false;
-  std::shared_ptr<const CompiledArtifact> Art;
-  std::shared_ptr<const SimArtifact> Sim =
-      getOrRun(CReq, RReq, Hit, CompileHit, Art);
-  Resp.OK = Sim->OK;
-  Resp.Error = Sim->Error;
-  Resp.Key = Sim->KeyHex;
-  Resp.CompileKey = Art ? Art->KeyHex : CReq.keyHex();
-  Resp.CacheHit = Hit;
-  Resp.CompileCacheHit = CompileHit;
-  Resp.Sim = std::move(Sim);
-  Resp.Artifact = std::move(Art);
-  Resp.WallNs = nowNs() - Start;
-  RunReqNs[Hit].observe(Resp.WallNs <= 0 ? 0
-                                         : static_cast<uint64_t>(Resp.WallNs));
-  traceRequest("run", Resp.Key, Hit, Start, Resp.WallNs);
+  // The compiled artifact first: usually a hit, and the response wants it
+  // whether or not the simulated result is cached.
+  const std::string CKey = CReq.keyBytes();
+  Resp.Artifact = getOrCompile(CReq, CKey, Resp.CompileCacheHit);
+  // A run key is the compile key, a 0x1F byte, then the run key: strictly
+  // longer than its own compile key, and never equal to another compile
+  // key, whose length-prefixed source= record would have to match it. So
+  // both kinds share one table.
+  std::string Key = CKey;
+  Key += '\x1f';
+  Key += RReq.keyBytes();
+  Resp.Sim = lookup<SimArtifact>(Key, RunOutcomes, Resp.CacheHit, [&] {
+    return simulate(*Resp.Artifact, RReq);
+  });
+  Resp.OK = Resp.Sim->OK;
+  Resp.Error = Resp.Sim->Error;
+  Resp.Key = Resp.Sim->KeyHex;
+  Resp.CompileKey = Resp.Artifact->KeyHex;
+  Resp.WallNs =
+      finishRequest(RunOutcomes, "run", Resp.Key, Resp.CacheHit, Start);
   return Resp;
+}
+
+std::shared_ptr<const CompiledArtifact>
+CompileService::getOrCompile(const CompileRequest &Req, const std::string &Key,
+                             bool &Hit) {
+  return lookup<CompiledArtifact>(Key, CompileOutcomes, Hit, [&] {
+    auto Art = std::make_shared<CompiledArtifact>();
+    try {
+      Pipeline P;
+      CompileResult CR = P.compile(Req);
+      Art->OK = CR.OK;
+      Art->Messages = std::move(CR.Messages);
+      Art->Remarks = std::move(CR.Remarks);
+      if (CR.OK)
+        Art->ThreadedC = P.emitThreadedC(*CR.M);
+      Art->M = std::move(CR.M);
+    } catch (const std::exception &E) {
+      Art->OK = false;
+      Art->M = nullptr;
+      Art->Messages = std::string("internal error: ") + E.what();
+    }
+    Art->Bytes = approxBytes(*Art, Req);
+    return Art;
+  });
 }
 
 //===----------------------------------------------------------------------===//
 // Single-flight content-addressed lookup
 //===----------------------------------------------------------------------===//
 //
-// The locking protocol, shared by both artifact classes:
+// The locking protocol, one for both artifact kinds:
 //
 //   1. Under the mutex, look up the request's canonical key bytes. A hit on
-//      a Done slot is a cache hit; a hit on a pending slot makes us a
-//      waiter on its shared future; a miss installs a new pending slot
-//      whose future we own.
+//      a Done entry is a cache hit and moves it to the back of the LRU
+//      list; a hit on a pending entry makes us a waiter on its shared
+//      future; a miss installs a new pending entry whose future we own.
 //   2. Outside the mutex, waiters block on the future. The owner computes
-//      the artifact (the expensive part — parsing, passes, lowering,
+//      the artifact (the expensive part: parsing, passes, lowering,
 //      codegen, or a full simulation), fulfills the promise, then
-//      re-enters the mutex to publish: mark the slot Done, account its
-//      bytes, and run LRU eviction.
+//      re-enters the mutex to publish: mark the entry Done, append it to
+//      the LRU list, account its bytes, and evict from the list's front.
 //
-// Owners always compute inline in their own already-running pool task — a
-// slot can only exist because some task installed it while executing — so
+// Owners always compute inline in their own already-running pool task — an
+// entry can only exist because some task installed it while executing — so
 // a waiter's future is fulfilled no matter how small the pool is: the
 // dependency chain (run waiter -> run owner -> compile owner) only ever
 // points at tasks that are currently on a worker, never at queued work.
+//
+// Eviction takes the least recently used published entry until the budget
+// holds. Pending entries are not on the list, so they are never evicted,
+// and neither is the entry just published, so one hot request stays cached
+// under any budget. Erasing an entry drops the table's reference only;
+// requests already holding the artifact keep it.
 
-std::shared_ptr<const CompiledArtifact>
-CompileService::getOrCompile(const CompileRequest &Req, bool &Hit) {
-  using ArtPtr = std::shared_ptr<const CompiledArtifact>;
-  const std::string KeyBytes = Req.keyBytes();
-  std::promise<ArtPtr> Promise;
-  std::shared_future<ArtPtr> Fut;
-  bool Owner = false;
+template <class T, class ComputeFn>
+std::shared_ptr<const T> CompileService::lookup(const std::string &Key,
+                                                Outcomes &O, bool &Hit,
+                                                ComputeFn &&Compute) {
+  std::promise<std::shared_ptr<const void>> Promise;
+  std::shared_future<std::shared_ptr<const void>> Fut;
+  Entry *E = nullptr;
+  const std::string *KeyInTable = nullptr;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Compiles.find(KeyBytes);
-    if (It != Compiles.end()) {
-      It->second.LastUse = ++Clock;
-      // A completed artifact and an in-flight join both count as "served
-      // without executing" to the caller; the counters split them.
-      Hit = true;
-      (It->second.Done ? CompileHits : CompileWaits).inc();
-      Fut = It->second.Fut;
+    auto [It, Inserted] = Table.try_emplace(Key);
+    E = &It->second;
+    KeyInTable = &It->first;
+    // A completed artifact and an in-flight join both count as "served
+    // without executing" to the caller; the counters split them.
+    Hit = !Inserted;
+    if (Inserted) {
+      O.Misses.inc();
+      E->Fut = Promise.get_future().share();
+    } else if (E->Done) {
+      O.Hits.inc();
+      Lru.splice(Lru.end(), Lru, E->LruPos);
     } else {
-      Owner = true;
-      Hit = false;
-      CompileExecs.inc();
-      Slot<CompiledArtifact> S;
-      S.Fut = Promise.get_future().share();
-      S.LastUse = ++Clock;
-      Fut = S.Fut;
-      Compiles.emplace(KeyBytes, std::move(S));
+      O.Waits.inc();
     }
+    Fut = E->Fut;
   }
-  if (!Owner)
-    return Fut.get();
+  if (Hit)
+    return std::static_pointer_cast<const T>(Fut.get());
 
-  auto Art = std::make_shared<CompiledArtifact>();
-  Art->KeyHex = Req.keyHex();
-  try {
-    Pipeline P;
-    CompileResult CR = P.compile(Req);
-    Art->OK = CR.OK;
-    Art->Messages = std::move(CR.Messages);
-    Art->Stats = std::move(CR.Stats);
-    Art->Remarks = std::move(CR.Remarks);
-    if (CR.OK)
-      Art->ThreadedC = P.emitThreadedC(*CR.M);
-    Art->Stages = P.stages();
-    Art->M = std::move(CR.M);
-  } catch (const std::exception &E) {
-    Art->OK = false;
-    Art->M = nullptr;
-    Art->Messages = std::string("internal error: ") + E.what();
-  }
-  Art->Bytes = approxBytes(*Art, Req);
+  std::shared_ptr<T> Art = Compute();
+  Art->KeyHex = keyBytesToHex(hashKeyBytes(Key));
   Promise.set_value(Art);
-  publish(Compiles, KeyBytes, Art->Bytes);
+
+  // The entry is still there: only published entries are evicted, and
+  // element references survive rehashing.
+  std::lock_guard<std::mutex> Lock(Mu);
+  E->Done = true;
+  E->Bytes = Key.size() + Art->Bytes;
+  E->LruPos = Lru.insert(Lru.end(), KeyInTable);
+  CacheBytes += E->Bytes;
+  while (CacheBytes > Cfg.CacheBudgetBytes && Lru.front() != KeyInTable) {
+    auto Victim = Table.find(*Lru.front());
+    Lru.pop_front();
+    CacheBytes -= Victim->second.Bytes;
+    Table.erase(Victim);
+    EvictionCount.inc();
+  }
+  CacheBytesGauge.set(static_cast<int64_t>(CacheBytes));
+  CacheEntriesGauge.set(static_cast<int64_t>(Lru.size()));
   return Art;
 }
 
-std::shared_ptr<const SimArtifact>
-CompileService::getOrRun(const CompileRequest &CReq, const RunRequest &RReq,
-                         bool &Hit, bool &CompileHit,
-                         std::shared_ptr<const CompiledArtifact> &Art) {
-  using SimPtr = std::shared_ptr<const SimArtifact>;
-
-  // The compiled artifact first: usually a hit, and the response wants it
-  // regardless of whether the simulated result is cached.
-  Art = getOrCompile(CReq, CompileHit);
-
-  const std::string KeyBytes =
-      combinedKeyBytes(CReq.keyBytes(), RReq.keyBytes());
-  std::promise<SimPtr> Promise;
-  std::shared_future<SimPtr> Fut;
-  bool Owner = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Runs.find(KeyBytes);
-    if (It != Runs.end()) {
-      It->second.LastUse = ++Clock;
-      Hit = true; // completed or in-flight: served without executing
-      (It->second.Done ? RunHits : RunWaits).inc();
-      Fut = It->second.Fut;
-    } else {
-      Owner = true;
-      Hit = false;
-      RunExecs.inc();
-      Slot<SimArtifact> S;
-      S.Fut = Promise.get_future().share();
-      S.LastUse = ++Clock;
-      Fut = S.Fut;
-      Runs.emplace(KeyBytes, std::move(S));
-    }
-  }
-  if (!Owner)
-    return Fut.get();
-
-  auto Sim = std::make_shared<SimArtifact>();
-  Sim->KeyHex = keyBytesToHex(hashKeyBytes(KeyBytes));
-  try {
-    if (!Art->OK || !Art->M) {
-      Sim->OK = false;
-      Sim->Error = Art->Messages.empty() ? "compilation failed"
-                                         : Art->Messages;
-    } else {
-      MachineConfig MC = RReq.machine();
-      // The service owns profiling so the per-site report can be cached
-      // with the result; a caller-supplied profiler would go stale on
-      // every cache hit, so it is overridden here, and a request that did
-      // not ask for a profile runs without one. The caller's trace sink
-      // (MC.Trace, from the request) still sees the fresh run.
-      CommProfiler Prof;
-      MC.Profiler = RReq.RecordProfile ? &Prof : nullptr;
-      RunResult R = runProgram(*Art->M, MC, RReq.Entry, RReq.Args);
-      Sim->OK = R.OK;
-      Sim->Error = std::move(R.Error);
-      Sim->TimeNs = R.TimeNs;
-      Sim->ExitValue = R.ExitValue;
-      Sim->Counters = R.Counters;
-      Sim->StepsExecuted = R.StepsExecuted;
-      Sim->Output = std::move(R.Output);
-      Sim->WordsPerNode = std::move(R.WordsPerNode);
-      if (R.OK && RReq.RecordProfile)
-        Sim->ProfileJson = profileReportJson(*Art->M, Prof, &Art->Remarks);
-    }
-  } catch (const std::exception &E) {
-    Sim->OK = false;
-    Sim->Error = std::string("internal error: ") + E.what();
-  }
-  Sim->Bytes = approxBytes(*Sim);
-  Promise.set_value(Sim);
-  publish(Runs, KeyBytes, Sim->Bytes);
-  return Sim;
-}
-
-//===----------------------------------------------------------------------===//
-// Cache accounting and eviction
-//===----------------------------------------------------------------------===//
-
-template <typename T>
-void CompileService::publish(std::unordered_map<std::string, Slot<T>> &Map,
-                             const std::string &KeyBytes, size_t Bytes) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Map.find(KeyBytes);
-  if (It == Map.end())
-    return; // Evicted while computing (tiny budget): holders keep the ptr.
-  It->second.Done = true;
-  It->second.Bytes = Bytes;
-  It->second.LastUse = ++Clock;
-  CacheBytes += Bytes;
-  CacheEntriesGauge.add(1);
-  evictLocked(KeyBytes);
-  CacheBytesGauge.set(static_cast<int64_t>(CacheBytes));
-}
-
-void CompileService::evictLocked(const std::string &Protect) {
-  // Evict the least-recently-used *completed* artifact until the budget
-  // holds. Pending slots are never evicted (their owner is mid-compute),
-  // and neither is the just-published/most-recent entry, so one hot
-  // request stays cached under any budget. Erasing a slot drops the map's
-  // reference only — requests already holding the shared_ptr are safe.
-  for (;;) {
-    if (CacheBytes <= Cfg.CacheBudgetBytes)
-      return;
-    uint64_t Oldest = UINT64_MAX;
-    bool InCompiles = false;
-    const std::string *Victim = nullptr;
-    for (auto &KV : Compiles)
-      if (KV.second.Done && KV.first != Protect &&
-          KV.second.LastUse < Oldest) {
-        Oldest = KV.second.LastUse;
-        Victim = &KV.first;
-        InCompiles = true;
-      }
-    for (auto &KV : Runs)
-      if (KV.second.Done && KV.first != Protect &&
-          KV.second.LastUse < Oldest) {
-        Oldest = KV.second.LastUse;
-        Victim = &KV.first;
-        InCompiles = false;
-      }
-    if (!Victim)
-      return; // Nothing evictable left.
-    if (InCompiles) {
-      CacheBytes -= Compiles.find(*Victim)->second.Bytes;
-      Compiles.erase(*Victim);
-    } else {
-      CacheBytes -= Runs.find(*Victim)->second.Bytes;
-      Runs.erase(*Victim);
-    }
-    EvictionCount.inc();
-    CacheEntriesGauge.add(-1);
-  }
-}
-
 ServiceStats CompileService::stats() const {
-  // A view over the registry instruments. The mutex still serializes
-  // against publish/evict so CacheBytes and the entry scan are coherent;
-  // the counters themselves are monotonic and lock-free.
+  // A view over the registry instruments. The mutex serializes against
+  // publishing, so CacheBytes and the entry count are coherent; the
+  // counters themselves are monotonic and lock-free.
   std::lock_guard<std::mutex> Lock(Mu);
   ServiceStats S;
-  S.CompileHits = CompileHits.value();
-  S.CompileWaits = CompileWaits.value();
-  S.CompileExecutions = CompileExecs.value();
+  S.CompileHits = CompileOutcomes.Hits.value();
+  S.CompileWaits = CompileOutcomes.Waits.value();
+  S.CompileExecutions = CompileOutcomes.Misses.value();
   S.CompileRequests = S.CompileHits + S.CompileWaits + S.CompileExecutions;
-  S.RunHits = RunHits.value();
-  S.RunWaits = RunWaits.value();
-  S.RunExecutions = RunExecs.value();
+  S.RunHits = RunOutcomes.Hits.value();
+  S.RunWaits = RunOutcomes.Waits.value();
+  S.RunExecutions = RunOutcomes.Misses.value();
   S.RunRequests = S.RunHits + S.RunWaits + S.RunExecutions;
   S.Evictions = EvictionCount.value();
   S.CacheBytes = CacheBytes;
-  size_t Entries = 0;
-  for (const auto &KV : Compiles)
-    Entries += KV.second.Done;
-  for (const auto &KV : Runs)
-    Entries += KV.second.Done;
-  S.CacheEntries = Entries;
+  S.CacheEntries = Lru.size();
   return S;
 }
 
-void CompileService::traceRequest(const char *What, const std::string &KeyHex,
-                                  bool Hit, double StartNs, double WallNs) {
+double CompileService::finishRequest(Outcomes &O, const char *What,
+                                     const std::string &KeyHex, bool Hit,
+                                     double StartNs) {
+  double WallNs = nowNs() - StartNs;
+  O.ReqNs[Hit].observe(WallNs <= 0 ? 0 : static_cast<uint64_t>(WallNs));
   if (!Cfg.Trace)
-    return;
+    return WallNs;
   TraceEvent E;
   E.Name = std::string("svc:") + What;
   E.Cat = "service";
@@ -443,4 +342,5 @@ void CompileService::traceRequest(const char *What, const std::string &KeyHex,
   E.Args.emplace_back("hit", unsigned(Hit));
   std::lock_guard<std::mutex> Lock(Mu);
   Cfg.Trace->event(E);
+  return WallNs;
 }

@@ -54,6 +54,7 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,9 +67,9 @@ namespace earthcc {
 struct ServiceConfig {
   /// Worker threads handling requests (0 = all hardware threads).
   unsigned Workers = 0;
-  /// Byte budget for completed artifacts (approximate footprints). The
-  /// most recently used artifact survives even when it alone exceeds the
-  /// budget.
+  /// Byte budget for completed entries, each counted as its key bytes plus
+  /// its artifact's approximate footprint. The most recently used entry
+  /// survives even when it alone exceeds the budget.
   size_t CacheBudgetBytes = size_t(256) << 20;
   /// Service-level tracing: one 'X' span per handled request (name
   /// svc:compile / svc:run, args: key, hit). Non-owning; events are
@@ -104,7 +105,7 @@ struct ServiceStats {
   uint64_t RunHits = 0;
   uint64_t RunWaits = 0;
   uint64_t Evictions = 0;
-  size_t CacheBytes = 0;   ///< Current completed-artifact footprint.
+  size_t CacheBytes = 0;   ///< Completed entries' footprint, keys included.
   size_t CacheEntries = 0; ///< Completed artifacts resident.
 };
 
@@ -115,12 +116,10 @@ struct CompiledArtifact {
   bool OK = false;
   std::string Messages;              ///< Diagnostics when !OK.
   std::shared_ptr<const Module> M;   ///< Verified module (bytecode memoized).
-  Statistics Stats;                  ///< Pass counters of the compile.
   RemarkStream Remarks;              ///< Optimizer remarks (profile join).
   std::string ThreadedC;             ///< Emitted text ("" if !OK).
-  std::vector<StageReport> Stages;   ///< Per-stage wall times + counters.
   std::string KeyHex;                ///< Content address (compile key).
-  size_t Bytes = 0;                  ///< Approximate footprint.
+  size_t Bytes = 0;                  ///< Approximate footprint, key excluded.
 };
 
 /// An immutable simulated-run artifact for one (CompileRequest, RunRequest)
@@ -135,12 +134,11 @@ struct SimArtifact {
   OpCounters Counters;
   uint64_t StepsExecuted = 0;
   std::vector<std::string> Output;
-  std::vector<size_t> WordsPerNode;
   /// profileReportJson over the run's profiler; empty when the request did
   /// not set RunRequest::RecordProfile or the run failed.
   std::string ProfileJson;
-  std::string KeyHex;      ///< Content address (compile key ^ run key).
-  size_t Bytes = 0;
+  std::string KeyHex; ///< Content address (compile key, then run key).
+  size_t Bytes = 0;   ///< Approximate footprint, key excluded.
 };
 
 /// Response to a compile request.
@@ -201,29 +199,38 @@ public:
   MetricsRegistry &metrics() { return *Reg; }
 
 private:
-  template <typename T> struct Slot {
-    std::shared_future<std::shared_ptr<const T>> Fut;
-    bool Done = false;    ///< Artifact published (evictable).
-    uint64_t LastUse = 0; ///< LRU clock tick of the latest lookup.
-    size_t Bytes = 0;
+  /// One cache entry: a compile or a run artifact, type-erased (the two
+  /// kinds of key cannot collide; see lookup()). Pending until its owner
+  /// publishes it; only published entries are on the LRU list.
+  struct Entry {
+    std::shared_future<std::shared_ptr<const void>> Fut;
+    bool Done = false;
+    size_t Bytes = 0; ///< Key plus artifact footprint.
+    std::list<const std::string *>::iterator LruPos;
+  };
+  /// One op's request instruments: svc.requests{op,outcome} counters and
+  /// the svc.request_ns histograms, [0] = miss, [1] = hit. Single-flight
+  /// waits land in the hit histogram, as the response's CacheHit bit does.
+  struct Outcomes {
+    Counter Hits, Waits, Misses;
+    Histogram ReqNs[2];
   };
 
   CompileResponse handleCompile(const CompileRequest &Req);
   RunResponse handleRun(const CompileRequest &CReq, const RunRequest &RReq);
 
   std::shared_ptr<const CompiledArtifact>
-  getOrCompile(const CompileRequest &Req, bool &Hit);
-  std::shared_ptr<const SimArtifact>
-  getOrRun(const CompileRequest &CReq, const RunRequest &RReq, bool &Hit,
-           bool &CompileHit, std::shared_ptr<const CompiledArtifact> &Art);
-
-  /// Marks \p KeyBytes done with \p Bytes footprint and runs LRU eviction.
-  template <typename T>
-  void publish(std::unordered_map<std::string, Slot<T>> &Map,
-               const std::string &KeyBytes, size_t Bytes);
-  void evictLocked(const std::string &Protect);
-  void traceRequest(const char *What, const std::string &KeyHex, bool Hit,
-                    double StartNs, double WallNs);
+  getOrCompile(const CompileRequest &Req, const std::string &Key, bool &Hit);
+  /// Single-flight lookup of \p Key: the published artifact, the one in
+  /// flight, or \p Compute's result, which it publishes (protocol in the
+  /// .cpp). \p Hit is false only when this call computed.
+  template <class T, class ComputeFn>
+  std::shared_ptr<const T> lookup(const std::string &Key, Outcomes &O,
+                                  bool &Hit, ComputeFn &&Compute);
+  /// Records a finished request's latency and its trace span; returns its
+  /// wall time.
+  double finishRequest(Outcomes &O, const char *What,
+                       const std::string &KeyHex, bool Hit, double StartNs);
   double nowNs() const;
 
   ServiceConfig Cfg;
@@ -231,20 +238,15 @@ private:
   /// the handles below, which point into it.
   std::unique_ptr<MetricsRegistry> OwnedReg;
   MetricsRegistry *Reg = nullptr;
-  /// Registry-backed instrument handles (the former ad-hoc ServiceStats
-  /// fields). Index [0] = miss (execution), [1] = hit for the latency
-  /// histograms; single-flight waits land in the hit bucket, which is what
-  /// the response's CacheHit bit reports too.
-  Counter CompileHits, CompileWaits, CompileExecs;
-  Counter RunHits, RunWaits, RunExecs;
+  Outcomes CompileOutcomes, RunOutcomes;
   Counter EvictionCount;
   Gauge CacheBytesGauge, CacheEntriesGauge, QueueDepthGauge;
-  Histogram CompileReqNs[2], RunReqNs[2];
 
   mutable std::mutex Mu;
-  std::unordered_map<std::string, Slot<CompiledArtifact>> Compiles;
-  std::unordered_map<std::string, Slot<SimArtifact>> Runs;
-  uint64_t Clock = 0;
+  /// Every entry by key bytes. The LRU list holds pointers to the map's
+  /// keys, which stay put when the map rehashes (iterators would not).
+  std::unordered_map<std::string, Entry> Table;
+  std::list<const std::string *> Lru; ///< Published keys, least recent first.
   size_t CacheBytes = 0;
   std::chrono::steady_clock::time_point Epoch;
   /// Declared last: destroyed (joined, queue drained) before the caches

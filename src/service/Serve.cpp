@@ -9,11 +9,12 @@
 #include "support/Json.h"
 #include "workloads/Workloads.h"
 
+#include <cmath>
 #include <condition_variable>
 #include <istream>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 using namespace earthcc;
@@ -36,10 +37,11 @@ bool scalarToOptionValue(const json::Value &V, std::string &Out,
   case json::Value::Kind::String:
     Out = V.asString();
     return true;
-  case json::Value::Kind::Number: {
-    Out = json::Value::number(V.asNumber()).str();
+  case json::Value::Kind::Number:
+    // str() writes a non-finite number as null; the option's error message
+    // should name the value it got.
+    Out = std::isfinite(V.asNumber()) ? V.str() : std::to_string(V.asNumber());
     return true;
-  }
   case json::Value::Kind::Bool:
     Out = V.asBool() ? "on" : "off";
     return true;
@@ -104,7 +106,8 @@ bool buildRequests(const json::Value &Obj, const ServeOptions &Opts,
       return false;
   }
 
-  // Entry arguments: an array of numbers (integers become Int values).
+  // Entry arguments: an array of numbers (integers that fit int64 become
+  // Int values, everything else Dbl).
   if (const json::Value *Args = Obj.find("args")) {
     if (!Args->isArray()) {
       Err = "\"args\" must be an array of numbers";
@@ -116,11 +119,10 @@ bool buildRequests(const json::Value &Obj, const ServeOptions &Opts,
         Err = "\"args\" must be an array of numbers";
         return false;
       }
-      double D = A.asNumber();
-      if (D == static_cast<double>(static_cast<int64_t>(D)))
-        R.Args.push_back(RtValue::makeInt(static_cast<int64_t>(D)));
+      if (std::optional<int64_t> I = A.asInt64())
+        R.Args.push_back(RtValue::makeInt(*I));
       else
-        R.Args.push_back(RtValue::makeDbl(D));
+        R.Args.push_back(RtValue::makeDbl(A.asNumber()));
     }
   }
   return true;
@@ -177,27 +179,26 @@ json::Value statsToJson(const ServiceStats &S) {
 
 /// Serializes responses and writes them one per line. Requests complete on
 /// arbitrary pool workers, so the stream and the in-flight count live
-/// behind one mutex; shutdown waits for the count to reach zero.
+/// behind one mutex; shutdown waits for the count to reach zero. A response
+/// is serialized before the lock is taken, so the lock covers only the
+/// write itself.
 class ResponseWriter {
 public:
   explicit ResponseWriter(std::ostream &Out) : Out(Out) {}
-
-  void write(const json::Value &Resp) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Out << Resp.str() << '\n';
-    Out.flush();
-  }
 
   void beginRequest() {
     std::lock_guard<std::mutex> Lock(Mu);
     ++InFlight;
   }
 
-  void endRequest(const json::Value &Resp) {
+  /// Writes \p Resp; \p Finished ends a request opened by beginRequest().
+  void write(const json::Value &Resp, bool Finished = false) {
+    std::string Line = Resp.str();
+    Line += '\n';
     std::lock_guard<std::mutex> Lock(Mu);
-    Out << Resp.str() << '\n';
+    Out << Line;
     Out.flush();
-    if (--InFlight == 0)
+    if (Finished && --InFlight == 0)
       Drained.notify_all();
   }
 
@@ -317,9 +318,6 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
     bool WantThreadedC = Obj.getBool("threaded_c", false);
     // Only a run that answers with its profile records one.
     RReq.RecordProfile = WantProfile;
-    if (Opts.Echo)
-      fprintf(stderr, "earthcc --serve: %s key=%s\n", Op.c_str(),
-              CReq.keyHex().c_str());
 
     Writer.beginRequest();
     if (Op == "compile") {
@@ -340,7 +338,7 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
             if (R.OK && WantThreadedC && R.Artifact)
               Resp.members().emplace_back(
                   "threaded_c", json::Value::string(R.Artifact->ThreadedC));
-            Writer.endRequest(Resp);
+            Writer.write(Resp, /*Finished=*/true);
           });
     } else {
       Service.submitRun(
@@ -363,7 +361,7 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
             if (!R.OK) {
               Resp.members().emplace_back("error",
                                           json::Value::string(R.Error));
-              Writer.endRequest(Resp);
+              Writer.write(Resp, /*Finished=*/true);
               return;
             }
             const SimArtifact &S = *R.Sim;
@@ -388,7 +386,7 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
             if (WantThreadedC && R.Artifact)
               Resp.members().emplace_back(
                   "threaded_c", json::Value::string(R.Artifact->ThreadedC));
-            Writer.endRequest(Resp);
+            Writer.write(Resp, /*Finished=*/true);
           });
     }
   }

@@ -48,7 +48,6 @@ struct ServeOptions {
   /// copy and applies its own fields on top.
   CompileRequest BaseCompile;
   RunRequest BaseRun;
-  bool Echo = false; ///< Log one summary line per request to stderr.
 };
 
 /// Runs the serve loop: reads request lines from \p In until EOF or a

@@ -46,6 +46,14 @@ Value Value::object() {
   return V;
 }
 
+std::optional<int64_t> Value::asInt64() const {
+  // Both bounds are exact doubles; NaN fails the range test.
+  if (K != Kind::Number || !(Num >= -0x1p63 && Num < 0x1p63) ||
+      Num != std::floor(Num))
+    return std::nullopt;
+  return static_cast<int64_t>(Num);
+}
+
 const Value *Value::find(std::string_view Key) const {
   for (const Member &M : Members)
     if (M.first == Key)
@@ -119,10 +127,11 @@ std::string Value::str() const {
   case Kind::Bool:
     return B ? "true" : "false";
   case Kind::Number: {
+    if (!std::isfinite(Num))
+      return "null";
     // Exact integers (the common case: ids, counts, ns) print without a
     // fraction so they round-trip textually through the protocol.
-    if (std::isfinite(Num) && Num == std::floor(Num) &&
-        std::fabs(Num) < 9.007199254740992e15) {
+    if (Num == std::floor(Num) && std::fabs(Num) < 9.007199254740992e15) {
       char Buf[32];
       std::snprintf(Buf, sizeof(Buf), "%.0f", Num);
       return Buf;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +63,10 @@ public:
 
   bool asBool() const { return B; }
   double asNumber() const { return Num; }
+  /// The number as an int64_t, set only when it is integral and in
+  /// [-2^63, 2^63); the one conversion for numbers from outside the
+  /// program, since casting any other double to an integer is undefined.
+  std::optional<int64_t> asInt64() const;
   const std::string &asString() const { return Str; }
   const std::vector<Value> &items() const { return Items; }
   const std::vector<Member> &members() const { return Members; }
@@ -81,7 +86,8 @@ public:
 
   /// Serializes compactly (no whitespace). Strings are escaped per RFC
   /// 8259; doubles that hold exact integers print without a fraction so
-  /// ids round-trip textually.
+  /// ids round-trip textually, and a non-finite number prints as null
+  /// (RFC 8259 has no inf or nan).
   std::string str() const;
 
 private:

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 using namespace earthcc;
 
 namespace {
@@ -125,6 +128,28 @@ TEST(JsonWriteTest, CompactAndRoundTrip) {
   EXPECT_EQ(Back.getString("msg", ""), "a\"b\nc");
   EXPECT_EQ(Back.find("xs")->items().size(), 2u);
   EXPECT_EQ(Back.str(), S); // writer is a fixed point through the parser
+}
+
+TEST(JsonWriteTest, NonFiniteNumbersWriteNull) {
+  // RFC 8259 has no inf or nan: the writer's output must parse again.
+  for (double D : {HUGE_VAL, -HUGE_VAL, std::nan("")}) {
+    json::Value Arr = json::Value::array();
+    Arr.items().push_back(json::Value::number(D));
+    EXPECT_EQ(Arr.str(), "[null]") << D;
+    EXPECT_TRUE(parseOK(Arr.str()).items()[0].isNull());
+  }
+}
+
+TEST(JsonValueTest, AsInt64OnlyForIntegralInRangeNumbers) {
+  EXPECT_EQ(json::Value::number(42).asInt64(), 42);
+  EXPECT_EQ(json::Value::number(-7).asInt64(), -7);
+  EXPECT_EQ(json::Value::number(-0x1p63).asInt64(), INT64_MIN);
+  EXPECT_EQ(parseOK("9007199254740993").asInt64(), 9007199254740992);
+  // Outside [-2^63, 2^63), fractional, non-finite or not a number at all.
+  for (double D : {0x1p63, 1e300, -1e300, 0.5, -2.25, HUGE_VAL, std::nan("")})
+    EXPECT_FALSE(json::Value::number(D).asInt64().has_value()) << D;
+  EXPECT_FALSE(json::Value::string("3").asInt64().has_value());
+  EXPECT_FALSE(json::Value::null().asInt64().has_value());
 }
 
 TEST(JsonWriteTest, QuoteEscapesControls) {

@@ -111,6 +111,42 @@ TEST(ProfileDataTest, VersionGatesUnknownSchemas) {
   EXPECT_FALSE(loadProfileJson("42", D, Err));
 }
 
+TEST(ProfileDataTest, OutOfRangeIntegersFailNamingTheField) {
+  // Each integer field becomes an integer only when it fits its type; any
+  // other number fails the load (casting it would be undefined behaviour).
+  auto Site = [](const std::string &Fields) {
+    return "{\"version\":1,\"sites\":[{\"function\":\"main\",\"op\":"
+           "\"read\"," +
+           Fields + "}],\"total_msgs\":0,\"traffic_words\":[]}";
+  };
+  const std::pair<std::string, const char *> Hostile[] = {
+      {Site("\"site\":1e300"), "\"site\""},
+      {Site("\"line\":-1"), "\"line\""},
+      {Site("\"msgs\":18446744073709551616"), "\"msgs\""},
+      {"{\"sites\":[],\"total_msgs\":0,\"traffic_words\":[[1,-2]]}",
+       "\"traffic_words\""},
+      {"{\"sites\":[],\"network\":{\"links\":[{\"name\":\"l\","
+       "\"max_queue_depth\":4294967296}]}}",
+       "\"max_queue_depth\""},
+  };
+  for (const auto &[Doc, Field] : Hostile) {
+    ProfileData D;
+    std::string Err;
+    EXPECT_FALSE(loadProfileJson(Doc, D, Err)) << Doc;
+    EXPECT_NE(Err.find(Field), std::string::npos) << Err;
+  }
+
+  // In range, the same fields load.
+  ProfileData D;
+  std::string Err;
+  ASSERT_TRUE(loadProfileJson(Site("\"site\":3,\"line\":7,\"msgs\":9"), D,
+                              Err))
+      << Err;
+  EXPECT_EQ(D.Sites[0].Site, 3);
+  EXPECT_EQ(D.Sites[0].Line, 7u);
+  EXPECT_EQ(D.Sites[0].Msgs, 9u);
+}
+
 TEST(ProfileDataTest, EmitterOutputLoadsWithAllFields) {
   std::string Json = profileFor(RunMode::Optimized, 4);
   ASSERT_FALSE(Json.empty());

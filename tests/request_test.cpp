@@ -276,6 +276,18 @@ TEST(OptionTableTest, RejectsMalformedInput) {
   EXPECT_NE(Err.find(distributionChoices()), std::string::npos);
   EXPECT_FALSE(applyRequestOption(C, R, "net-hop-ns", "-3", Err));
   EXPECT_FALSE(applyRequestOption(C, R, "net-link-word-ns", "fast", Err));
+  // Network latencies are bounded, so simulated time stays finite: an
+  // overflowing literal and a value past the 1e9 ns ceiling are refused.
+  for (const char *Field : {"net-hop-ns", "net-link-word-ns"}) {
+    for (const char *Bad : {"1e309", "inf", "nan", "1e10"}) {
+      EXPECT_FALSE(applyRequestOption(C, R, Field, Bad, Err))
+          << Field << "=" << Bad;
+      EXPECT_NE(Err.find(Field), std::string::npos) << Err;
+    }
+    EXPECT_TRUE(applyRequestOption(C, R, Field, "450", Err)) << Err;
+  }
+  EXPECT_EQ(R.NetHopNs, 450.0);
+  EXPECT_EQ(R.NetLinkWordNs, 450.0);
   EXPECT_FALSE(applyRequestOption(C, R, "dist-block", "0", Err));
 }
 

@@ -20,11 +20,13 @@
 
 #include "service/CompileService.h"
 #include "service/Serve.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -208,6 +210,53 @@ TEST(ServiceEvictionTest, ByteBudgetEvictsLRUAndRecomputes) {
   EXPECT_NE(AAgain.Artifact.get(), HeldA.get());
 }
 
+TEST(ServiceEvictionTest, RecencyOrdersCompileAndRunEntriesTogether) {
+  // Same-length sources, so every compile entry has the same footprint;
+  // the budget holds two of them but not three.
+  CompileRequest A = CompileRequest::simple("int main() { return 1; }");
+  CompileRequest B = CompileRequest::simple("int main() { return 2; }");
+  CompileRequest C = CompileRequest::simple("int main() { return 3; }");
+  size_t Entry = 0;
+  {
+    CompileService Probe(workers(1));
+    ASSERT_TRUE(Probe
+                    .submitCompile(
+                        CompileRequest::simple("int main() { return 4; }"))
+                    .get()
+                    .OK);
+    Entry = Probe.stats().CacheBytes;
+  }
+  ServiceConfig Cfg = workers(1);
+  Cfg.CacheBudgetBytes = Entry * 5 / 2;
+  CompileService S(Cfg);
+
+  ASSERT_TRUE(S.submitCompile(A).get().OK);
+  ASSERT_TRUE(S.submitCompile(B).get().OK);
+  EXPECT_TRUE(S.submitCompile(A).get().CacheHit); // A is now newer than B
+  ASSERT_TRUE(S.submitCompile(C).get().OK);       // evicts B, the LRU entry
+  EXPECT_EQ(S.stats().Evictions, 1u);
+  EXPECT_EQ(S.stats().CacheEntries, 2u);
+
+  // The run's compile lookup hits A (it survived C) and refreshes it, so
+  // publishing the run entry evicts C, now the least recent.
+  RunRequest R;
+  R.RecordProfile = false;
+  RunResponse Run = S.submitRun(A, R).get();
+  ASSERT_TRUE(Run.OK) << Run.Error;
+  EXPECT_TRUE(Run.CompileCacheHit);
+  EXPECT_EQ(S.stats().Evictions, 2u);
+  EXPECT_EQ(S.stats().CacheEntries, 2u);
+
+  // A hit makes A newer than the run entry: recompiling C (a miss, since it
+  // was evicted) pushes out the run entry, not A.
+  EXPECT_TRUE(S.submitCompile(A).get().CacheHit);
+  EXPECT_FALSE(S.submitCompile(C).get().CacheHit);
+  EXPECT_EQ(S.stats().Evictions, 3u);
+  EXPECT_TRUE(S.submitCompile(A).get().CacheHit);
+  EXPECT_EQ(S.stats().CompileExecutions, 4u);
+  EXPECT_EQ(S.stats().RunExecutions, 1u);
+}
+
 TEST(ServiceDeterminismTest, CachedResponseBitIdenticalToFresh) {
   // The same request against two independent services: one cold compute
   // each; then a cached replay from the first. All three must agree bit
@@ -234,7 +283,6 @@ TEST(ServiceDeterminismTest, CachedResponseBitIdenticalToFresh) {
     EXPECT_EQ(R->Sim->Counters.total(), Fresh1.Sim->Counters.total());
     EXPECT_EQ(R->Sim->Counters.WordsMoved, Fresh1.Sim->Counters.WordsMoved);
     EXPECT_EQ(R->Sim->Output, Fresh1.Sim->Output);
-    EXPECT_EQ(R->Sim->WordsPerNode, Fresh1.Sim->WordsPerNode);
     // The profile is serialized once, on the fresh run, from a
     // service-owned profiler: byte equality here is the "cached responses
     // are indistinguishable" guarantee.
@@ -427,6 +475,54 @@ TEST(ServeMetricsTest, GlobalRegistryCarriesStageHistogramsAcrossSessions) {
   runServeLoop(In, Out, Opts);
   EXPECT_NE(Out.str().find("\"pipeline.stage_ns\""), std::string::npos);
   EXPECT_NE(Out.str().find("\"engine.runs\""), std::string::npos);
+}
+
+TEST(ServeProtocolTest, EveryAnswerIsValidJson) {
+  // A non-finite number must not reach an answer as `inf`: a double exit
+  // that overflows answers null, network latencies past the ceiling are
+  // refused rather than simulated to infinity, and an argument beyond the
+  // int64 range stays a double.
+  MetricsRegistry Reg;
+  ServeOptions Opts;
+  Opts.Service.Workers = 2;
+  Opts.Service.Metrics = &Reg;
+  std::istringstream In(
+      R"({"id":1,"op":"run","source":"double main(){ double d; )"
+      R"(d = 1e308; d = d * 10.0; return d; }"})"
+      "\n"
+      R"({"id":2,"op":"run","workload":"power","topology":"torus2d",)"
+      R"("net-hop-ns":1e309})"
+      "\n"
+      R"({"id":3,"op":"run","workload":"power","topology":"bus",)"
+      R"("net-link-word-ns":1e308})"
+      "\n"
+      R"({"id":4,"op":"run","source":"double main(double a){return a;}",)"
+      R"("args":[1e300]})"
+      "\n"
+      R"({"id":5,"op":"shutdown"})"
+      "\n");
+  std::ostringstream Out;
+  EXPECT_EQ(runServeLoop(In, Out, Opts), 5u);
+
+  std::map<int, json::Value> ById;
+  std::istringstream Lines(Out.str());
+  for (std::string Line; std::getline(Lines, Line);) {
+    json::Value V;
+    std::string Err;
+    ASSERT_TRUE(json::parse(Line, V, Err)) << Err << ": " << Line;
+    ById[static_cast<int>(V.getNumber("id", 0))] = V;
+  }
+  ASSERT_EQ(ById.size(), 5u) << Out.str();
+  EXPECT_TRUE(ById[1].getBool("ok", false)) << Out.str();
+  ASSERT_NE(ById[1].find("exit"), nullptr);
+  EXPECT_TRUE(ById[1].find("exit")->isNull());
+  for (int Id : {2, 3}) {
+    EXPECT_FALSE(ById[Id].getBool("ok", true));
+    EXPECT_NE(ById[Id].getString("error", "").find("1e9"), std::string::npos)
+        << ById[Id].str();
+  }
+  EXPECT_TRUE(ById[4].getBool("ok", false)) << ById[4].str();
+  EXPECT_EQ(ById[4].getNumber("exit", 0), 1e300);
 }
 
 TEST(ServiceShutdownTest, DestructionDrainsPendingRequests) {

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 using namespace earthcc;
 
 namespace {
@@ -126,6 +129,56 @@ TEST(WorkloadRegistryTest, MetadataIsFilledIn) {
     EXPECT_FALSE(W.OurSize.empty()) << W.Name;
     EXPECT_FALSE(W.Source.empty()) << W.Name;
   }
+}
+
+// Table II's "our size" strings are written by hand. Every figure they
+// state is computed here from the Full params, so a resize that leaves
+// the string behind fails.
+TEST(WorkloadRegistryTest, OurSizeStatesTheFullParams) {
+  auto Full = [](const char *Name, const char *Param) -> long {
+    for (const WorkloadParam &P : findWorkload(Name)->Params)
+      if (P.Name == Param)
+        return std::stol(P.Full);
+    ADD_FAILURE() << Name << " has no param " << Param;
+    return -1;
+  };
+  // N as a whole number (not a digit run inside a longer one).
+  auto States = [](const char *Name, long N) {
+    const std::string &Text = findWorkload(Name)->OurSize;
+    const std::string Digits = std::to_string(N);
+    auto DigitAt = [&Text](size_t I) {
+      return I < Text.size() &&
+             std::isdigit(static_cast<unsigned char>(Text[I]));
+    };
+    for (size_t At = Text.find(Digits); At != std::string::npos;
+         At = Text.find(Digits, At + 1))
+      if ((At == 0 || !DigitAt(At - 1)) && !DigitAt(At + Digits.size()))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << Name << "'s size \"" << Text << "\" does not state " << N;
+  };
+  auto Pow = [](long B, long E) {
+    long R = 1;
+    while (E-- > 0)
+      R *= B;
+    return R;
+  };
+
+  EXPECT_TRUE(States("power", Full("power", "feeders")));
+  EXPECT_TRUE(States("power", Full("power", "feeders") *
+                                  Full("power", "lateral") *
+                                  Full("power", "branch") *
+                                  Full("power", "leaf")));
+  EXPECT_TRUE(States("perimeter", Full("perimeter", "depth")));
+  EXPECT_TRUE(States("perimeter", Pow(4, Full("perimeter", "depth"))));
+  EXPECT_TRUE(States("tsp", Full("tsp", "depth")));
+  // health's build(levels) makes levels + 1 levels of a 4-way tree.
+  long HealthLevels = Full("health", "levels") + 1;
+  EXPECT_TRUE(States("health", HealthLevels));
+  EXPECT_TRUE(States("health", (Pow(4, HealthLevels) - 1) / 3));
+  EXPECT_TRUE(States("health", Full("health", "iters")));
+  EXPECT_TRUE(States("voronoi", Full("voronoi", "depth")));
+  EXPECT_TRUE(States("voronoi", Pow(2, Full("voronoi", "depth")) - 1));
 }
 
 } // namespace
