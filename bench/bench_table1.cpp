@@ -163,8 +163,8 @@ public:
     CompileRequest C = Opts;
     C.Source = W.Source;
     RunRequest Req;
-    Req.Sequential = Nodes == 0;
-    Req.Nodes = Req.Sequential ? 1 : Nodes;
+    Req.SequentialMode = Nodes == 0;
+    Req.NumNodes = Nodes;
     Req.Topo = Topo;
     Req.Profiler = Profiler;
     std::string Key = C.keyBytes() + Req.keyBytes();
@@ -174,11 +174,11 @@ public:
       return It->second;
     }
     RunResult R = Pipeline().run(compiled(W, Opts), Req);
-    std::string Where = W.Name + " on " + std::to_string(Req.Nodes) + " " +
+    std::string Where = W.Name + " on " + std::to_string(Req.nodes()) + " " +
                         topologyName(Topo) + " nodes";
     if (!R.OK)
       throw std::runtime_error(Where + ": run failed: " + R.Error);
-    if (!Req.Sequential &&
+    if (!Req.SequentialMode &&
         R.ExitValue.I != run(W, CompileRequest::simple(""), 0).ExitValue.I)
       throw std::runtime_error(Where +
                                ": exit value differs from the sequential run");
@@ -440,7 +440,7 @@ int runBench(const std::string &JsonPath) {
   for (unsigned Th = 1; Th <= 6; ++Th)
     Thresholds.push_back(
         config("block threshold = " + std::to_string(Th),
-               [Th](CompileRequest &C) { C.Comm.BlockThresholdWords = Th; }));
+               [Th](CompileRequest &C) { C.BlockThresholdWords = Th; }));
   struct Sweep {
     const char *Id, *Title;
     std::vector<const char *> Benches;
@@ -457,17 +457,17 @@ int runBench(const std::string &JsonPath) {
        {"power", "health", "perimeter"},
        {SimpleRow, Config{"full optimization", Optimized},
         config("no read motion (at-use placement)",
-               [](CompileRequest &C) { C.Comm.EnableReadMotion = false; }),
+               [](CompileRequest &C) { C.EnableReadMotion = false; }),
         config("no blocking (pipelined only)",
-               [](CompileRequest &C) { C.Comm.EnableBlocking = false; }),
+               [](CompileRequest &C) { C.EnableBlocking = false; }),
         config("redundancy elimination only",
                [](CompileRequest &C) {
-                 C.Comm.EnableReadMotion = false;
-                 C.Comm.EnableBlocking = false;
-                 C.Comm.EnableWriteBlocking = false;
+                 C.EnableReadMotion = false;
+                 C.EnableBlocking = false;
+                 C.EnableWriteBlocking = false;
                }),
         config("no write blocking",
-               [](CompileRequest &C) { C.Comm.EnableWriteBlocking = false; }),
+               [](CompileRequest &C) { C.EnableWriteBlocking = false; }),
         config("locality inference + full optimization",
                [](CompileRequest &C) { C.InferLocality = true; })}},
       {"conditional_reads", "Ablation 3: hoisting reads out of conditionals",
@@ -475,7 +475,7 @@ int runBench(const std::string &JsonPath) {
        {SimpleRow, Config{"optimistic conditional reads (paper)", Optimized},
         config("pessimistic (no hoist out of branches)",
                [](CompileRequest &C) {
-                 C.Comm.Placement.OptimisticConditionalReads = false;
+                 C.Placement.OptimisticConditionalReads = false;
                })}},
   };
   JsonList Ablations;

@@ -297,7 +297,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  if ((Path.empty() == WorkloadName.empty()) || RReq.Nodes == 0) {
+  if ((Path.empty() == WorkloadName.empty()) || RReq.NumNodes == 0) {
     usage(argv[0]);
     return 2;
   }
@@ -378,7 +378,7 @@ int main(int argc, char **argv) {
                  TraceSink.events().size(), TracePath.c_str());
   }
 
-  unsigned EffNodes = RReq.Sequential ? 1 : RReq.Nodes;
+  unsigned EffNodes = RReq.nodes();
   std::fprintf(stderr, "[%s: %.3f simulated ms on %u node%s]\n", Path.c_str(),
                R.TimeNs / 1e6, EffNodes, EffNodes == 1 ? "" : "s");
   if (Stats) {

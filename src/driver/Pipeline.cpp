@@ -223,7 +223,7 @@ static void emitMachineMetadata(TraceSink &Sink, const MachineConfig &MC) {
     E.Args.emplace_back("name", std::move(Name));
     Sink.event(E);
   };
-  for (unsigned N = 0; N != std::max(1u, MC.NumNodes); ++N) {
+  for (unsigned N = 0; N != std::max(1u, MC.nodes()); ++N) {
     Meta("process_name", N, TraceTidEU, "node " + std::to_string(N));
     Meta("thread_name", N, TraceTidEU, "EU");
     Meta("thread_name", N, TraceTidSU, "SU");
@@ -253,7 +253,7 @@ RunResult Pipeline::run(const Module &M, const MachineConfig &MC,
     E.DurNs = R.TimeNs;
     E.Pid = 0;
     E.Tid = TraceTidPass;
-    E.Args.emplace_back("nodes", Cfg.NumNodes);
+    E.Args.emplace_back("nodes", Cfg.nodes());
     E.Args.emplace_back("steps", R.StepsExecuted);
     E.Args.emplace_back("remote-ops", R.Counters.total());
     E.Args.emplace_back("words-moved", R.Counters.WordsMoved);
@@ -266,12 +266,12 @@ RunResult Pipeline::run(const Module &M, const MachineConfig &MC,
 }
 
 CompileResult Pipeline::compile(const CompileRequest &Req) {
-  Opts = PipelineOptions(Req);
+  Opts = Req;
   return compile(Req.Source);
 }
 
 RunResult Pipeline::run(const Module &M, const RunRequest &Req) {
-  return run(M, Req.machine(), Req.Entry, Req.Args);
+  return run(M, Req, Req.Entry, Req.Args);
 }
 
 RunResult Pipeline::run(const CompileResult &CR, const RunRequest &Req) {

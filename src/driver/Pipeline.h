@@ -31,9 +31,9 @@
 ///
 /// The preferred way to describe work is the request API in
 /// driver/Request.h: an immutable, hashable CompileRequest/RunRequest pair
-/// with a canonical serialization (the CompileService's cache key).
-/// compile() and run() accept requests directly; the PipelineOptions /
-/// MachineConfig overloads remain for callers that wire knobs by hand.
+/// with a canonical serialization (the CompileService's cache key). A
+/// CompileRequest is a PipelineOptions plus its source and a RunRequest is
+/// a MachineConfig plus its entry call, so compile() and run() take either.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,51 +54,6 @@
 #include <vector>
 
 namespace earthcc {
-
-/// The merged pipeline configuration: every communication-selection knob
-/// (inherited flat from CommOptions, e.g. Opts.BlockThresholdWords) plus
-/// the phase toggles. The presets mirror the paper's two program versions;
-/// a CompileRequest converts directly, so request-driven and hand-wired
-/// callers share one configuration type.
-struct PipelineOptions : CommOptions {
-  bool Optimize = true; ///< Run the communication optimization (Phase II).
-  /// Run locality inference first (downgrades pseudo-remote accesses whose
-  /// functions are always invoked at the data's owner). Off by default to
-  /// match the paper's "simple vs optimized" experiment, where locality
-  /// handling is orthogonal prior work.
-  bool InferLocality = false;
-  /// Worker threads for the per-function bytecode lowering stage: 1 lowers
-  /// serially on the caller's thread, 0 uses the host's hardware
-  /// concurrency, N uses N workers. Output is bit-identical at every
-  /// setting (see lowerModule); this is purely a host wall-clock knob.
-  unsigned LowerThreads = 1;
-  /// Worker threads for the placement and comm-select stages, fanned out
-  /// one function per task (same convention as LowerThreads: 1 = serial,
-  /// 0 = all hardware). Output — module, remarks, comm profiles — is
-  /// bit-identical at every setting (see CommAnalysis /
-  /// selectModuleCommunication); purely a host wall-clock knob.
-  unsigned PassThreads = 1;
-
-  PipelineOptions() = default;
-  /// The compile-side knobs of \p Req as a pipeline configuration (the
-  /// request's Source is not carried — pass it to compile()).
-  PipelineOptions(const CompileRequest &Req)
-      : CommOptions(Req.Comm), Optimize(Req.Optimize),
-        InferLocality(Req.InferLocality), LowerThreads(Req.LowerThreads),
-        PassThreads(Req.PassThreads) {}
-
-  /// The paper's "simple" program version: no communication optimization.
-  static PipelineOptions simple() {
-    PipelineOptions O;
-    O.Optimize = false;
-    return O;
-  }
-  /// The paper's "optimized" version: full communication selection.
-  static PipelineOptions optimized() { return PipelineOptions(); }
-
-  /// This options object viewed as the communication-selection policy.
-  const CommOptions &comm() const { return *this; }
-};
 
 /// Outcome of a compilation.
 struct CompileResult {
@@ -166,14 +121,13 @@ public:
     Sink = S;
     return *this;
   }
-  TraceSink *traceSink() const { return Sink; }
 
   /// Compiles EARTH-C source into a verified (and, per options, optimized)
   /// module. Stage reports are retained and queryable via stages().
   CompileResult compile(const std::string &Source);
 
   /// Compiles \p Req. The request *is* the configuration: this pipeline's
-  /// options are replaced by the request's compile-side knobs first, so the
+  /// options are replaced by the request's PipelineOptions first, so the
   /// produced artifact is a pure function of the request value — the
   /// property the CompileService's content-addressed cache relies on.
   CompileResult compile(const CompileRequest &Req);
@@ -184,8 +138,8 @@ public:
                 const std::string &Entry = "main",
                 const std::vector<RtValue> &Args = {});
 
-  /// Runs \p M as described by \p Req (machine shape, engine, entry, args;
-  /// Req.Sink / Req.Profiler are forwarded as the run's instrumentation).
+  /// Runs \p M on the machine \p Req describes, calling its entry with its
+  /// args.
   RunResult run(const Module &M, const RunRequest &Req);
 
   /// Convenience: request-driven run of a CompileResult.

@@ -83,15 +83,15 @@ std::string CompileRequest::keyBytes() const {
   KeyWriter W("earthcc-compile-v1");
   W.boolean("optimize", Optimize);
   W.boolean("locality", InferLocality);
-  W.boolean("read-motion", Comm.EnableReadMotion);
-  W.boolean("blocking", Comm.EnableBlocking);
-  W.boolean("redundancy-elim", Comm.EnableRedundancyElim);
-  W.boolean("write-blocking", Comm.EnableWriteBlocking);
-  W.boolean("speculative-reads", Comm.SpeculativeReads);
-  W.integer("block-threshold", Comm.BlockThresholdWords);
-  W.integer("max-overfetch", Comm.MaxBlockOverfetch);
-  W.real("loop-freq", Comm.Placement.LoopFrequencyFactor);
-  W.boolean("optimistic-cond", Comm.Placement.OptimisticConditionalReads);
+  W.boolean("read-motion", EnableReadMotion);
+  W.boolean("blocking", EnableBlocking);
+  W.boolean("redundancy-elim", EnableRedundancyElim);
+  W.boolean("write-blocking", EnableWriteBlocking);
+  W.boolean("speculative-reads", SpeculativeReads);
+  W.integer("block-threshold", BlockThresholdWords);
+  W.integer("max-overfetch", MaxBlockOverfetch);
+  W.real("loop-freq", Placement.LoopFrequencyFactor);
+  W.boolean("optimistic-cond", Placement.OptimisticConditionalReads);
   // LowerThreads and PassThreads are intentionally absent: lowering and the
   // placement/selection passes produce bit-identical output at every thread
   // count, so neither can change the artifact.
@@ -101,42 +101,6 @@ std::string CompileRequest::keyBytes() const {
 
 uint64_t CompileRequest::key() const { return hashKeyBytes(keyBytes()); }
 std::string CompileRequest::keyHex() const { return keyBytesToHex(key()); }
-
-RunRequest::RunRequest() {
-  // Mirror MachineConfig's defaults field by field (including the
-  // EARTHCC_TOPOLOGY-derived topology default), so the two surfaces cannot
-  // drift.
-  MachineConfig MC;
-  Engine = MC.Engine;
-  AllowNullReads = MC.AllowNullReads;
-  MaxSteps = MC.MaxSteps;
-  EUQuantum = MC.EUQuantum;
-  Costs = MC.Costs;
-  Topo = MC.Topo;
-  NetHopNs = MC.NetHopNs;
-  NetLinkWordNs = MC.NetLinkWordNs;
-  Dist = MC.Dist;
-  DistBlockSize = MC.DistBlockSize;
-}
-
-MachineConfig RunRequest::machine() const {
-  MachineConfig MC;
-  MC.NumNodes = Sequential ? 1 : Nodes;
-  MC.Costs = Costs;
-  MC.Engine = Engine;
-  MC.SequentialMode = Sequential;
-  MC.AllowNullReads = AllowNullReads;
-  MC.MaxSteps = MaxSteps;
-  MC.EUQuantum = EUQuantum;
-  MC.Topo = Topo;
-  MC.NetHopNs = NetHopNs;
-  MC.NetLinkWordNs = NetLinkWordNs;
-  MC.Dist = Dist;
-  MC.DistBlockSize = DistBlockSize;
-  MC.Trace = Sink;
-  MC.Profiler = Profiler;
-  return MC;
-}
 
 std::string RunRequest::keyBytes() const {
   KeyWriter W("earthcc-run-v4"); // v4: profile flag added
@@ -158,8 +122,8 @@ std::string RunRequest::keyBytes() const {
       break;
     }
   }
-  W.integer("nodes", Sequential ? 1 : Nodes);
-  W.boolean("sequential", Sequential);
+  W.integer("nodes", nodes());
+  W.boolean("sequential", SequentialMode);
   // Topology and distribution are keyed because — unlike the engine — they
   // change the *simulated* results: contention reorders completion times
   // and the distribution moves data between owners. The network parameters
@@ -194,7 +158,7 @@ std::string RunRequest::keyBytes() const {
   W.real("spawn", Costs.SpawnCost);
   W.real("ctx-switch", Costs.CtxSwitch);
   W.boolean("profile", RecordProfile);
-  // Sink and Profiler are intentionally absent: instrumentation observes a
+  // Trace and Profiler are intentionally absent: instrumentation observes a
   // run without changing its result, so it must not change the cache key.
   return W.take();
 }
@@ -261,13 +225,13 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
       {"nodes", "N", nullptr, "simulated machine size (default 4)",
        [](CompileRequest &, RunRequest &R, const std::string &V,
           std::string &Err) {
-         if (!parseUnsignedValue(V, R.Nodes, Err, "nodes"))
+         if (!parseUnsignedValue(V, R.NumNodes, Err, "nodes"))
            return false;
-         if (R.Nodes == 0) {
+         if (R.NumNodes == 0) {
            Err = "nodes must be >= 1";
            return false;
          }
-         if (R.Nodes > MaxSimNodes) {
+         if (R.NumNodes > MaxSimNodes) {
            Err = "nodes must be <= " + std::to_string(MaxSimNodes) +
                  " (got " + V + ")";
            return false;
@@ -376,7 +340,7 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
          bool On;
          if (!parseOnOff(V, On))
            return badOnOff("seq", V, Err);
-         R.Sequential = On;
+         R.SequentialMode = On;
          if (On) {
            C.Optimize = false;
            C.InferLocality = false;
@@ -387,7 +351,7 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
        "blocking threshold in words (default 3, the paper's crossover)",
        [](CompileRequest &C, RunRequest &, const std::string &V,
           std::string &Err) {
-         return parseUnsignedValue(V, C.Comm.BlockThresholdWords, Err,
+         return parseUnsignedValue(V, C.BlockThresholdWords, Err,
                                    "threshold");
        }},
       {"entry", "NAME", nullptr, "entry function (default main)",

@@ -6,16 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The redesigned request surface of the driver. Historically the knobs
-/// accreted across three places — PipelineOptions (inheriting the flat
-/// CommOptions), MachineConfig, and ad-hoc environment overrides — and
-/// every entry point (CLI, benches, tests, observers) wired them by hand.
-/// This file collapses that surface into two plain value types:
+/// The driver's request values, one per phase. Each request *is* the
+/// configuration of its phase plus what names the work:
 ///
-///  - CompileRequest: everything that determines the compiled artifact
-///    (source text + phase toggles + communication-selection policy).
-///  - RunRequest: everything that determines one simulated execution of a
-///    compiled artifact (entry, args, machine shape, engine, cost model).
+///  - CompileRequest is a PipelineOptions (phase toggles and the
+///    communication-selection policy) plus the EARTH-C source text.
+///  - RunRequest is a MachineConfig (machine shape, engine, network, cost
+///    model, instrumentation) plus the entry call and whether a service run
+///    records its comm profile.
+///
+/// Every knob is therefore declared and defaulted once, in the
+/// configuration that reads it, and a request passes wherever its
+/// configuration does.
 ///
 /// Both are hashable content: keyBytes() is a canonical, versioned
 /// serialization of exactly the fields that can change the result, and
@@ -23,9 +25,9 @@
 /// CompileService hashes for its content-addressed artifact cache, so "two
 /// requests collide in the cache" and "two requests are semantically
 /// identical" are one property by construction. Host-only knobs
-/// (CompileRequest::LowerThreads — bit-identical output at any setting) and
-/// per-request instrumentation (RunRequest::Sink / Profiler — observe
-/// without perturbing) are deliberately excluded from the key bytes.
+/// (PipelineOptions::LowerThreads and PassThreads — bit-identical output at
+/// any setting) and per-run instrumentation (MachineConfig::Trace and
+/// Profiler — observe without perturbing) are excluded from the key bytes.
 /// RunRequest::RecordProfile is keyed: it decides what a cached run result
 /// holds.
 ///
@@ -48,23 +50,48 @@
 
 namespace earthcc {
 
-/// Everything that determines a compiled artifact. Treat as an immutable
-/// value once built: fill the fields (directly or through the option
-/// table), then pass by const reference; Pipeline and CompileService never
-/// mutate a request.
-struct CompileRequest {
-  std::string Source;        ///< EARTH-C source text.
-  bool Optimize = true;      ///< Run communication selection (Phase II).
-  bool InferLocality = false; ///< Run locality inference first.
-  CommOptions Comm;          ///< Communication-selection policy.
-  /// Worker threads for bytecode lowering. Host wall-clock knob only —
-  /// lowering output is bit-identical at every setting — and therefore
-  /// excluded from keyBytes().
+/// The compile-side configuration: every communication-selection knob
+/// (inherited flat from CommOptions, e.g. Opts.BlockThresholdWords) plus
+/// the phase toggles. The presets mirror the paper's two program versions.
+struct PipelineOptions : CommOptions {
+  bool Optimize = true; ///< Run the communication optimization (Phase II).
+  /// Run locality inference first (downgrades pseudo-remote accesses whose
+  /// functions are always invoked at the data's owner). Off by default to
+  /// match the paper's "simple vs optimized" experiment, where locality
+  /// handling is orthogonal prior work.
+  bool InferLocality = false;
+  /// Worker threads for the per-function bytecode lowering stage: 1 lowers
+  /// serially on the caller's thread, 0 uses the host's hardware
+  /// concurrency, N uses N workers. Output is bit-identical at every
+  /// setting (see lowerModule); this is purely a host wall-clock knob.
   unsigned LowerThreads = 1;
-  /// Worker threads for the per-function placement/selection passes. Same
-  /// contract as LowerThreads: output is bit-identical at every setting
-  /// (module, remarks, comm profiles), so it is excluded from keyBytes().
+  /// Worker threads for the placement and comm-select stages, fanned out
+  /// one function per task (same convention as LowerThreads: 1 = serial,
+  /// 0 = all hardware). Output — module, remarks, comm profiles — is
+  /// bit-identical at every setting (see CommAnalysis /
+  /// selectModuleCommunication); purely a host wall-clock knob.
   unsigned PassThreads = 1;
+
+  /// The paper's "simple" program version: no communication optimization.
+  static PipelineOptions simple() {
+    PipelineOptions O;
+    O.Optimize = false;
+    return O;
+  }
+  /// The paper's "optimized" version: full communication selection.
+  static PipelineOptions optimized() { return PipelineOptions(); }
+
+  /// This options object viewed as the communication-selection policy.
+  const CommOptions &comm() const { return *this; }
+};
+
+/// Everything that determines a compiled artifact: the pipeline
+/// configuration plus the source it compiles. Treat as an immutable value
+/// once built: fill the fields (directly or through the option table), then
+/// pass by const reference; Pipeline and CompileService never mutate a
+/// request.
+struct CompileRequest : PipelineOptions {
+  std::string Source; ///< EARTH-C source text.
 
   /// The paper's "simple" program version: no communication optimization.
   static CompileRequest simple(std::string Source);
@@ -80,49 +107,22 @@ struct CompileRequest {
 };
 
 /// Everything that determines one simulated execution of a compiled
-/// module. Defaults mirror MachineConfig (engine, topology — including the
-/// EARTHCC_TOPOLOGY environment default — fuel, quantum, cost model), with
-/// Nodes defaulting to the CLI's historical 4.
-struct RunRequest {
+/// module: the machine it runs on plus the call that starts it. Defaults
+/// are MachineConfig's, except that NumNodes defaults to 4, the CLI's and
+/// the serve protocol's machine size.
+struct RunRequest : MachineConfig {
   std::string Entry = "main";
-  std::vector<RtValue> Args;  ///< Entry function arguments.
-  unsigned Nodes = 4;         ///< Simulated machine size.
-  bool Sequential = false;    ///< Sequential-C baseline (forces 1 node).
-  ExecEngine Engine;          ///< Execution engine (default: bytecode).
-  bool AllowNullReads;
-  uint64_t MaxSteps;
-  unsigned EUQuantum;
-  CostModel Costs;
-  /// Interconnect topology and the network-model parameters (see
-  /// earth/NetworkModel.h). Unlike Engine these CHANGE simulated results —
-  /// contention reorders completion times — so all of them are key
-  /// material in keyBytes().
-  Topology Topo;
-  double NetHopNs;
-  double NetLinkWordNs;
-  /// Logical-index -> node mapping for `@node` placement. Changes which
-  /// node owns each datum, hence simulated results; keyed.
-  Distribution Dist;
-  unsigned DistBlockSize;
+  std::vector<RtValue> Args; ///< Entry function arguments.
   /// Whether a CompileService run records the per-site comm profile with
   /// its result (SimArtifact::ProfileJson). The serve loop sets it from a
   /// request's `profile` field, so a run nobody asked to profile pays for
   /// neither the profiler nor its JSON. Keyed: a result with a profile is
   /// a different artifact from one without. On by default, so API callers
-  /// keep their profiles. Pipeline::run ignores it (see Profiler below).
+  /// keep their profiles. Pipeline::run ignores it (it profiles exactly
+  /// when MachineConfig::Profiler is set).
   bool RecordProfile = true;
 
-  /// Per-request instrumentation. Observes the run without perturbing it,
-  /// so both are excluded from keyBytes(): attaching a sink or profiler
-  /// must never change which cached result a request maps to.
-  TraceSink *Sink = nullptr;
-  CommProfiler *Profiler = nullptr;
-
-  RunRequest();
-
-  /// This request as the interpreter's MachineConfig (Sink/Profiler are
-  /// forwarded; Sequential forces one node).
-  MachineConfig machine() const;
+  RunRequest() { NumNodes = 4; }
 
   /// Canonical serialization of the result-determining fields. Engine is
   /// keyed *conservatively*: simulated results are bit-identical across

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -57,18 +56,6 @@ bool parseTopology(std::string_view V, Topology &Out);
 const char *distributionName(Distribution D);
 const char *distributionChoices(); // "cyclic|block"
 bool parseDistribution(std::string_view V, Distribution &Out);
-
-/// Process-default topology: EARTHCC_TOPOLOGY if set to a valid name, else
-/// ideal.
-inline Topology defaultTopology() {
-  static const Topology T = [] {
-    Topology Out = Topology::Ideal;
-    if (const char *E = std::getenv("EARTHCC_TOPOLOGY"))
-      parseTopology(E, Out);
-    return Out;
-  }();
-  return T;
-}
 
 /// Maps a logical placement index onto a physical node under \p D. Both
 /// engines' `@node` handling routes through this (the single place the

@@ -149,10 +149,10 @@ struct MachineConfig {
   unsigned NumNodes = 1;
   CostModel Costs;
   /// Interconnect topology (see earth/NetworkModel.h). Ideal is the paper's
-  /// constant-latency EARTH-MANNA network and the default (EARTHCC_TOPOLOGY
-  /// overrides). Unlike the Engine knob this CHANGES simulated results, so
-  /// it is request-key material in driver/Request.cpp.
-  Topology Topo = defaultTopology();
+  /// constant-latency EARTH-MANNA network and the default. Unlike the
+  /// Engine knob this CHANGES simulated results, so it is request-key
+  /// material in driver/Request.cpp.
+  Topology Topo = Topology::Ideal;
   /// Logical-index -> node mapping for `@node expr` placement (cyclic is
   /// the historical `index % nodes`). Changes simulated results; keyed.
   Distribution Dist = Distribution::Cyclic;
@@ -190,6 +190,9 @@ struct MachineConfig {
   /// engine-invariant). Non-owning; null means profiling off
   /// and costs one branch per comm operation.
   CommProfiler *Profiler = nullptr;
+
+  /// The nodes the machine runs on: a sequential run is one node.
+  unsigned nodes() const { return SequentialMode ? 1 : NumNodes; }
 };
 
 /// Per-node memory plus allocation; the aggregate is the global address

@@ -45,7 +45,7 @@ std::shared_ptr<SimArtifact> simulate(const CompiledArtifact &Art,
     if (!Art.OK || !Art.M) {
       Sim->Error = Art.Messages.empty() ? "compilation failed" : Art.Messages;
     } else {
-      MachineConfig MC = RReq.machine();
+      MachineConfig MC = RReq;
       // The service owns profiling so the per-site report can be cached
       // with the result; a caller-supplied profiler would go stale on
       // every cache hit, so it is overridden here, and a request that did

@@ -31,7 +31,7 @@
 ///    returns a std::future immediately; the callback overloads invoke a
 ///    completion on the worker instead (the `--serve` loop uses those to
 ///    stream responses out of order). Per-request instrumentation rides
-///    the request itself: RunRequest::Sink is forwarded into a fresh
+///    the request itself: the request's Trace sink is forwarded into a fresh
 ///    execution, and a service-level TraceSink (ServiceConfig::Trace)
 ///    receives one span per request with its cache outcome.
 ///
@@ -75,7 +75,7 @@ struct ServiceConfig {
   /// svc:compile / svc:run, args: key, hit). Non-owning; events are
   /// emitted under the service lock, so any sink is safe without its own
   /// synchronization. Not forwarded into pipelines — per-request run
-  /// tracing goes through RunRequest::Sink.
+  /// tracing goes through the RunRequest's Trace.
   TraceSink *Trace = nullptr;
   /// Metrics registry the service records into (request counters split by
   /// op and outcome, eviction counts, cache gauges, queue depth, and

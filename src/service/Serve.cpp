@@ -131,7 +131,7 @@ bool buildRequests(const json::Value &Obj, const ServeOptions &Opts,
 json::Value rtValueToJson(const RtValue &V) {
   switch (V.K) {
   case RtValue::Kind::Int:
-    return json::Value::number(static_cast<double>(V.I));
+    return json::Value::integer(V.I);
   case RtValue::Kind::Dbl:
     return json::Value::number(V.D);
   case RtValue::Kind::Ptr:

@@ -7,7 +7,6 @@
 #include "support/CommProfiler.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace earthcc {
 
@@ -25,23 +24,6 @@ const char *commOpKindName(CommOpKind K) {
   return "?";
 }
 
-unsigned SiteProfile::bucketOf(uint64_t Ns) {
-  if (Ns < 16)
-    return static_cast<unsigned>(Ns);
-  unsigned E = 63 - static_cast<unsigned>(std::countl_zero(Ns)); // >= 4
-  unsigned Sub = static_cast<unsigned>((Ns >> (E - 4)) & 0xF);
-  unsigned B = 16 * (E - 3) + Sub;
-  return std::min(B, NumBuckets - 1);
-}
-
-uint64_t SiteProfile::bucketLowNs(unsigned B) {
-  if (B < 16)
-    return B;
-  unsigned E = B / 16 + 3;
-  unsigned Sub = B % 16;
-  return (uint64_t(1) << E) | (uint64_t(Sub) << (E - 4));
-}
-
 void SiteProfile::recordLatency(uint64_t Ns) {
   if (LatHist.empty())
     LatHist.assign(NumBuckets, 0);
@@ -55,24 +37,12 @@ void SiteProfile::recordLatency(uint64_t Ns) {
 }
 
 uint64_t SiteProfile::latencyPercentileNs(double P) const {
-  if (!LatCount || LatHist.empty())
+  // Ranking over the recorded samples (not Msgs) keeps the walk in bounds
+  // even when the two counts diverge.
+  if (LatHist.empty())
     return 0;
-  // Rank of the percentile element, 1-based: ceil(P/100 * LatCount). Ranking
-  // over the recorded samples (not Msgs) keeps the walk in bounds even when
-  // the two counts diverge — an empty or single-sample site must render
-  // without any divide-by-zero or off-the-end fallback.
-  double Exact = P * static_cast<double>(LatCount) / 100.0;
-  uint64_t Rank = static_cast<uint64_t>(Exact);
-  if (static_cast<double>(Rank) < Exact)
-    ++Rank;
-  Rank = std::max<uint64_t>(1, std::min(Rank, LatCount));
-  uint64_t Seen = 0;
-  for (unsigned B = 0; B != NumBuckets; ++B) {
-    Seen += LatHist[B];
-    if (Seen >= Rank)
-      return bucketLowNs(B);
-  }
-  return LatMaxNs;
+  return percentile(
+      P, LatCount, [this](unsigned B) { return LatHist[B]; }, LatMaxNs);
 }
 
 void CommProfiler::beginRun(unsigned Sites_, unsigned Nodes) {

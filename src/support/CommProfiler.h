@@ -17,15 +17,17 @@
 /// pointer, so the disabled path adds no work to the hot loop.
 ///
 /// Latencies are kept in a deterministic fixed-bucket histogram (16 linear
-/// sub-buckets per power of two, ~6% worst-case resolution), so percentile
-/// queries are exact functions of the recorded multiset — no sampling, no
-/// host-dependent state — and memory per site stays bounded no matter how
-/// many messages a run issues.
+/// sub-buckets per power of two, ~6% worst-case resolution; see
+/// support/LogLinear.h), so percentile queries are exact functions of the
+/// recorded multiset — no sampling, no host-dependent state — and memory
+/// per site stays bounded no matter how many messages a run issues.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EARTHCC_SUPPORT_COMMPROFILER_H
 #define EARTHCC_SUPPORT_COMMPROFILER_H
+
+#include "support/LogLinear.h"
 
 #include <cstdint>
 #include <string>
@@ -50,12 +52,10 @@ struct NetLinkStats {
   unsigned MaxQueueDepth = 0; ///< Peak FIFO depth (queued + in flight).
 };
 
-/// Accumulated dynamic behavior of one site.
-struct SiteProfile {
-  /// 16 exact buckets below 16 ns, then 16 linear sub-buckets per octave up
-  /// to 2^63: index = 16 * (log2 - 3) + top-4-mantissa-bits.
-  static constexpr unsigned NumBuckets = 16 + 16 * 60;
-
+/// Accumulated dynamic behavior of one site. Its latency histogram has 16
+/// exact buckets below 16 ns, then 16 linear sub-buckets per octave
+/// (bucketOf, bucketLowNs and NumBuckets come from LogLinear<4>).
+struct SiteProfile : LogLinear<4> {
   uint64_t Msgs = 0;       ///< Remote transactions issued from this site.
   uint64_t Words = 0;      ///< Words moved by those transactions.
   uint64_t LocalHits = 0;  ///< Local fallbacks (no remote traffic).
@@ -68,11 +68,6 @@ struct SiteProfile {
   uint64_t LatMinNs = 0;   ///< Minimum latency (integer ns; 0 when empty).
   uint64_t LatMaxNs = 0;   ///< Maximum latency (integer ns).
   std::vector<uint64_t> LatHist; ///< Lazily sized to NumBuckets on first use.
-
-  /// Bucket index for a latency of \p Ns nanoseconds.
-  static unsigned bucketOf(uint64_t Ns);
-  /// Inclusive lower bound of bucket \p B, in nanoseconds.
-  static uint64_t bucketLowNs(unsigned B);
 
   void recordLatency(uint64_t Ns);
 

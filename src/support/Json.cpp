@@ -6,6 +6,7 @@
 
 #include "support/Json.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,13 @@ Value Value::number(double D) {
   Value V;
   V.K = Kind::Number;
   V.Num = D;
+  return V;
+}
+
+Value Value::integer(int64_t I) {
+  Value V = number(static_cast<double>(I));
+  V.IsInt = true;
+  V.Int = I;
   return V;
 }
 
@@ -47,6 +55,8 @@ Value Value::object() {
 }
 
 std::optional<int64_t> Value::asInt64() const {
+  if (IsInt)
+    return Int;
   // Both bounds are exact doubles; NaN fails the range test.
   if (K != Kind::Number || !(Num >= -0x1p63 && Num < 0x1p63) ||
       Num != std::floor(Num))
@@ -127,6 +137,8 @@ std::string Value::str() const {
   case Kind::Bool:
     return B ? "true" : "false";
   case Kind::Number: {
+    if (IsInt)
+      return std::to_string(Int);
     if (!std::isfinite(Num))
       return "null";
     // Exact integers (the common case: ids, counts, ns) print without a
@@ -427,19 +439,32 @@ private:
       return fail("expected value");
     if (Text[IntStart] == '0' && Pos - IntStart > 1)
       return fail("leading zeros are not permitted");
+    bool Integral = true;
     if (Pos < Text.size() && Text[Pos] == '.') {
       ++Pos;
+      Integral = false;
       if (!Digits())
         return fail("digits required after decimal point");
     }
     if (Pos < Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
       ++Pos;
+      Integral = false;
       if (Pos < Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
         ++Pos;
       if (!Digits())
         return fail("digits required in exponent");
     }
     std::string Num(Text.substr(Start, Pos - Start));
+    // An integer literal that fits int64_t stays exact; "-0" stays a double,
+    // which keeps its sign.
+    if (Integral && Num != "-0") {
+      errno = 0;
+      long long I = std::strtoll(Num.c_str(), nullptr, 10);
+      if (errno != ERANGE) {
+        Out = Value::integer(I);
+        return true;
+      }
+    }
     Out = Value::number(std::strtod(Num.c_str(), nullptr));
     return true;
   }

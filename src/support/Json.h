@@ -13,11 +13,11 @@
 /// the missing direction — parsing — plus an escaping writer, with no
 /// third-party dependency.
 ///
-/// The value model is deliberately tiny: null, bool, double, string, array,
+/// The value model is deliberately tiny: null, bool, number, string, array,
 /// object (insertion-ordered key list, first occurrence wins on lookup).
-/// Numbers are doubles — request ids and option values all fit exactly in
-/// the 53-bit integer range, which is far beyond anything the protocol
-/// carries per field.
+/// A number is a double, and an integer literal or Value::integer() also
+/// keeps its exact int64_t, so a program's integer arguments and exit
+/// values cross the protocol exactly, beyond the 53 bits a double holds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +49,9 @@ public:
   static Value null() { return Value(); }
   static Value boolean(bool B);
   static Value number(double D);
+  /// An exact integer: asInt64() and str() give \p I itself, asNumber() the
+  /// nearest double.
+  static Value integer(int64_t I);
   static Value string(std::string S);
   static Value array();
   static Value object();
@@ -63,9 +66,10 @@ public:
 
   bool asBool() const { return B; }
   double asNumber() const { return Num; }
-  /// The number as an int64_t, set only when it is integral and in
-  /// [-2^63, 2^63); the one conversion for numbers from outside the
-  /// program, since casting any other double to an integer is undefined.
+  /// The number as an int64_t: the exact integer when the value holds one,
+  /// else set only when the double is integral and in [-2^63, 2^63); the
+  /// one conversion for numbers from outside the program, since casting
+  /// any other double to an integer is undefined.
   std::optional<int64_t> asInt64() const;
   const std::string &asString() const { return Str; }
   const std::vector<Value> &items() const { return Items; }
@@ -85,15 +89,17 @@ public:
                         const std::string &Default) const;
 
   /// Serializes compactly (no whitespace). Strings are escaped per RFC
-  /// 8259; doubles that hold exact integers print without a fraction so
-  /// ids round-trip textually, and a non-finite number prints as null
-  /// (RFC 8259 has no inf or nan).
+  /// 8259; exact integers print in full, doubles that hold exact integers
+  /// print without a fraction so ids round-trip textually, and a non-finite
+  /// number prints as null (RFC 8259 has no inf or nan).
   std::string str() const;
 
 private:
   Kind K = Kind::Null;
   bool B = false;
+  bool IsInt = false; ///< Int holds the number exactly.
   double Num = 0.0;
+  int64_t Int = 0;
   std::string Str;
   std::vector<Value> Items;
   std::vector<Member> Members;

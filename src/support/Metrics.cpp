@@ -9,7 +9,6 @@
 #include "support/Json.h"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 #include <map>
 #include <memory>
@@ -154,23 +153,6 @@ int64_t Gauge::value() const {
   return I ? I->V.load(std::memory_order_relaxed) : 0;
 }
 
-unsigned Histogram::bucketOf(uint64_t V) {
-  if (V < 4)
-    return static_cast<unsigned>(V);
-  unsigned E = 63 - static_cast<unsigned>(std::countl_zero(V)); // >= 2
-  unsigned Sub = static_cast<unsigned>((V >> (E - 2)) & 0x3);
-  unsigned B = 4 * (E - 1) + Sub;
-  return std::min(B, NumBuckets - 1);
-}
-
-uint64_t Histogram::bucketLowNs(unsigned B) {
-  if (B < 4)
-    return B;
-  unsigned E = B / 4 + 1;
-  unsigned Sub = B % 4;
-  return (uint64_t(1) << E) | (uint64_t(Sub) << (E - 2));
-}
-
 void Histogram::observe(uint64_t V) const {
   if (I)
     I->observe(V);
@@ -184,21 +166,8 @@ uint64_t Histogram::max() const { return I ? I->max() : 0; }
 uint64_t Histogram::percentile(double P) const {
   if (!I)
     return 0;
-  uint64_t N = I->count();
-  if (!N)
-    return 0;
-  double Exact = P * static_cast<double>(N) / 100.0;
-  uint64_t Rank = static_cast<uint64_t>(Exact);
-  if (static_cast<double>(Rank) < Exact)
-    ++Rank;
-  Rank = std::max<uint64_t>(1, std::min(Rank, N));
-  uint64_t Seen = 0;
-  for (unsigned B = 0; B != NumBuckets; ++B) {
-    Seen += I->bucket(B);
-    if (Seen >= Rank)
-      return bucketLowNs(B);
-  }
-  return I->max();
+  return LogLinear::percentile(
+      P, I->count(), [this](unsigned B) { return I->bucket(B); }, I->max());
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,8 +25,9 @@
 ///    relaxed atomics, and summed only at read time. Writers never contend
 ///    on a shared line unless two threads hash to the same shard.
 ///  - Histograms use a fixed log-linear bucketing (4 sub-buckets per power
-///    of two, ~25% worst-case resolution), so memory is bounded and
-///    percentile queries are exact functions of the recorded multiset.
+///    of two, ~25% worst-case resolution; see support/LogLinear.h), so
+///    memory is bounded and percentile queries are exact functions of the
+///    recorded multiset.
 ///  - Exposition is pull-only: snapshotJson() for the `--serve` "metrics" op
 ///    and bench embedding, prometheusText() for scrape-style tooling. Both
 ///    render instruments in sorted (name, labels) order so output is
@@ -40,6 +41,8 @@
 
 #ifndef EARTHCC_SUPPORT_METRICS_H
 #define EARTHCC_SUPPORT_METRICS_H
+
+#include "support/LogLinear.h"
 
 #include <atomic>
 #include <cstdint>
@@ -111,17 +114,11 @@ private:
 };
 
 /// Fixed-bucket histogram handle for non-negative integer samples
-/// (typically nanoseconds).
-class Histogram {
+/// (typically nanoseconds): 4 exact buckets below 4, then 4 linear
+/// sub-buckets per octave (bucketOf, bucketLowNs and NumBuckets come from
+/// LogLinear<2>).
+class Histogram : public LogLinear<2> {
 public:
-  /// 4 exact buckets below 4, then 4 linear sub-buckets per octave up to
-  /// 2^63: index = 4 * (log2 - 1) + top-2-mantissa-bits.
-  static constexpr unsigned NumBuckets = 4 + 4 * 62;
-
-  static unsigned bucketOf(uint64_t V);
-  /// Inclusive lower bound of bucket \p B.
-  static uint64_t bucketLowNs(unsigned B);
-
   Histogram() = default;
   void observe(uint64_t V) const;
   uint64_t count() const;

@@ -864,21 +864,6 @@ bool earthcc::selectModuleCommunication(Module &M, CommAnalysis &CA,
   return OK;
 }
 
-bool earthcc::optimizeFunctionCommunication(Module &M, Function &F,
-                                            const CommOptions &Opts,
-                                            Statistics &Stats,
-                                            std::vector<std::string> &Errors,
-                                            RemarkStream *Remarks) {
-  M.invalidateExecCache(); // The IR is about to change; drop stale bytecode.
-  F.relabel();
-  PointsToAnalysis PT(M);
-  SideEffects SE(M, PT);
-  PlacementResult PR = runPlacementAnalysis(F, SE, Opts.Placement, Remarks);
-  addPlacementStats(PR, Stats);
-  Selector(M, F, Opts, Stats, Remarks, PT, SE, PR).run();
-  return verifyFunction(M, F, Errors);
-}
-
 bool earthcc::optimizeModuleCommunication(Module &M, const CommOptions &Opts,
                                           Statistics &Stats,
                                           std::vector<std::string> &Errors,

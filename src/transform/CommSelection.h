@@ -129,19 +129,6 @@ bool selectModuleCommunication(Module &M, CommAnalysis &CA,
                                RemarkStream *Remarks = nullptr,
                                unsigned Threads = 1);
 
-/// Runs communication selection on one function. Requires labels to be
-/// fresh (call F.relabel() first); relabels and re-verifies afterwards.
-/// Returns false (with \p Errors populated) if the transformed function
-/// fails verification — a bug, surfaced loudly. When \p Remarks is
-/// non-null, the placement analysis and every selection decision (blocked
-/// read, pipelined read, redundant read eliminated, RemoteFill
-/// inserted/reused/elided, write group sunk) emit a structured Remark with
-/// the cost-model numbers behind the decision.
-bool optimizeFunctionCommunication(Module &M, Function &F,
-                                   const CommOptions &Opts, Statistics &Stats,
-                                   std::vector<std::string> &Errors,
-                                   RemarkStream *Remarks = nullptr);
-
 /// Runs communication selection on every function of \p M: one CommAnalysis
 /// snapshot followed by selectModuleCommunication, both serial.
 bool optimizeModuleCommunication(Module &M, const CommOptions &Opts,

@@ -120,7 +120,7 @@ PipelineOptions earthcc::workloadOptions(RunMode Mode,
 
 MachineConfig earthcc::workloadMachine(RunMode Mode, unsigned Nodes) {
   MachineConfig MC;
-  MC.NumNodes = Mode == RunMode::Sequential ? 1 : Nodes;
+  MC.NumNodes = Nodes;
   MC.SequentialMode = Mode == RunMode::Sequential;
   return MC;
 }

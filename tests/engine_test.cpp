@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 using namespace earthcc;
 
 namespace {
@@ -100,6 +102,18 @@ protected:
     return *W;
   }
 
+  /// workloadMachine(\p Mode, \p Nodes) on the topology EARTHCC_TOPOLOGY
+  /// names, ideal when it is unset, so the sweep can be rerun on a routed
+  /// network. An unknown name fails the test rather than running ideal.
+  static MachineConfig machine(RunMode Mode, unsigned Nodes) {
+    MachineConfig MC = workloadMachine(Mode, Nodes);
+    if (const char *Topo = std::getenv("EARTHCC_TOPOLOGY")) {
+      EXPECT_TRUE(parseTopology(Topo, MC.Topo))
+          << "EARTHCC_TOPOLOGY: unknown topology '" << Topo << "'";
+    }
+    return MC;
+  }
+
   /// Compiles \p Source once per mode and sweeps 1/2/4 nodes, comparing
   /// the AST engine against the bytecode engine at every configuration.
   void sweep(const std::string &Source, const std::string &SizeTag) {
@@ -108,7 +122,7 @@ protected:
       CompileResult CR = P.compile(Source);
       ASSERT_TRUE(CR.OK) << CR.Messages;
       for (unsigned Nodes : {1u, 2u, 4u}) {
-        MachineConfig MC = workloadMachine(Mode, Nodes);
+        MachineConfig MC = machine(Mode, Nodes);
         std::string What = GetParam() + "/" + SizeTag +
                            (Mode == RunMode::Simple ? "/simple/" : "/opt/") +
                            std::to_string(Nodes) + "n";
@@ -132,7 +146,7 @@ TEST_P(EngineEquivalenceTest, SequentialBaseline) {
   Pipeline P(workloadOptions(RunMode::Sequential));
   CompileResult CR = P.compile(workload().Source);
   ASSERT_TRUE(CR.OK) << CR.Messages;
-  MachineConfig MC = workloadMachine(RunMode::Sequential, 1);
+  MachineConfig MC = machine(RunMode::Sequential, 1);
   auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
   auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
   expectIdentical(Ast, Bc, GetParam() + "/sequential");
@@ -146,7 +160,7 @@ TEST_P(EngineEquivalenceTest, QuantumSweep) {
   CompileResult CR = P.compile(workload().smallSource());
   ASSERT_TRUE(CR.OK) << CR.Messages;
   for (unsigned Quantum : {1u, 2u, 3u, 17u, 0u}) {
-    MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
+    MachineConfig MC = machine(RunMode::Optimized, 4);
     MC.EUQuantum = Quantum;
     std::string What =
         GetParam() + "/quantum=" + std::to_string(Quantum);

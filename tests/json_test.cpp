@@ -144,12 +144,33 @@ TEST(JsonValueTest, AsInt64OnlyForIntegralInRangeNumbers) {
   EXPECT_EQ(json::Value::number(42).asInt64(), 42);
   EXPECT_EQ(json::Value::number(-7).asInt64(), -7);
   EXPECT_EQ(json::Value::number(-0x1p63).asInt64(), INT64_MIN);
-  EXPECT_EQ(parseOK("9007199254740993").asInt64(), 9007199254740992);
+  EXPECT_EQ(parseOK("9007199254740993").asInt64(), 9007199254740993);
   // Outside [-2^63, 2^63), fractional, non-finite or not a number at all.
   for (double D : {0x1p63, 1e300, -1e300, 0.5, -2.25, HUGE_VAL, std::nan("")})
     EXPECT_FALSE(json::Value::number(D).asInt64().has_value()) << D;
   EXPECT_FALSE(json::Value::string("3").asInt64().has_value());
   EXPECT_FALSE(json::Value::null().asInt64().has_value());
+}
+
+TEST(JsonValueTest, IntegerLiteralsStayExact) {
+  // Integer literals that fit int64_t round-trip digit for digit, past the
+  // 2^53 a double holds exactly; asNumber() still gives the nearest double.
+  for (const char *Text : {"9007199254740993", "-9223372036854775808",
+                           "9223372036854775807", "0", "-1"}) {
+    json::Value V = parseOK(Text);
+    EXPECT_TRUE(V.isNumber()) << Text;
+    EXPECT_EQ(V.str(), Text);
+    EXPECT_EQ(std::to_string(*V.asInt64()), Text);
+  }
+  EXPECT_EQ(parseOK("9007199254740993").asNumber(), 9007199254740992.0);
+  EXPECT_EQ(json::Value::integer(INT64_MIN).str(), "-9223372036854775808");
+  EXPECT_EQ(json::Value::integer(INT64_MAX).asInt64(), INT64_MAX);
+  // Past int64_t, or with a fraction or an exponent, a literal is a double.
+  EXPECT_EQ(parseOK("9223372036854775808").asInt64(), std::nullopt);
+  EXPECT_EQ(parseOK("9223372036854775808").str(), "9.2233720368547758e+18");
+  EXPECT_EQ(parseOK("1e3").str(), "1000");
+  EXPECT_EQ(parseOK("1e3").asInt64(), 1000);
+  EXPECT_EQ(parseOK("-0").str(), "-0");
 }
 
 TEST(JsonWriteTest, QuoteEscapesControls) {

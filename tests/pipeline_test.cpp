@@ -84,8 +84,8 @@ TEST(PipelineOptionsTest, ConvertsFromCompileRequest) {
   CompileRequest Req;
   Req.Optimize = false;
   Req.InferLocality = true;
-  Req.Comm.BlockThresholdWords = 5;
-  Req.Comm.EnableWriteBlocking = false;
+  Req.BlockThresholdWords = 5;
+  Req.EnableWriteBlocking = false;
   Req.LowerThreads = 3;
 
   PipelineOptions PO(Req);
@@ -273,7 +273,7 @@ TEST(PipelineTest, RequestDrivenCompileAndRun) {
   ASSERT_TRUE(CR.OK) << CR.Messages;
 
   RunRequest RReq;
-  RReq.Nodes = 2;
+  RReq.NumNodes = 2;
   RunResult R = P.run(CR, RReq);
   ASSERT_TRUE(R.OK) << R.Error;
   EXPECT_EQ(R.ExitValue.I, 5);

@@ -180,20 +180,20 @@ TEST_P(RandomProgramTest, OptimizationPreservesSemantics) {
   CompileResult SimpleCR = P.compile(CompileRequest::simple(Src));
   ASSERT_TRUE(SimpleCR.OK) << SimpleCR.Messages;
   RunRequest SeqRR;
-  SeqRR.Sequential = true;
+  SeqRR.SequentialMode = true;
   RunResult Seq = P.run(SimpleCR, SeqRR);
   ASSERT_TRUE(Seq.OK) << Seq.Error;
 
   for (unsigned Nodes : {1u, 3u}) {
     RunRequest RR;
-    RR.Nodes = Nodes;
+    RR.NumNodes = Nodes;
     RunResult Simple = P.run(SimpleCR, RR);
     ASSERT_TRUE(Simple.OK) << Simple.Error;
     EXPECT_EQ(Simple.ExitValue.I, Seq.ExitValue.I) << Nodes << " nodes";
 
     for (unsigned Threshold : {1u, 2u, 3u, 5u}) {
       CompileRequest CReq = CompileRequest::optimized(Src);
-      CReq.Comm.BlockThresholdWords = Threshold;
+      CReq.BlockThresholdWords = Threshold;
       RunResult Opt = P.run(P.compile(CReq), RR);
       ASSERT_TRUE(Opt.OK)
           << "nodes " << Nodes << " threshold " << Threshold << ": "
@@ -214,22 +214,22 @@ TEST_P(RandomProgramTest, KnockoutsPreserveSemantics) {
 
   Pipeline P;
   RunRequest SeqRR;
-  SeqRR.Sequential = true;
+  SeqRR.SequentialMode = true;
   RunResult Seq = P.run(P.compile(CompileRequest::simple(Src)), SeqRR);
   ASSERT_TRUE(Seq.OK) << Seq.Error;
 
   RunRequest RR;
-  RR.Nodes = 3;
+  RR.NumNodes = 3;
   for (int Knockout = 0; Knockout != 5; ++Knockout) {
     CompileRequest CReq = CompileRequest::optimized(Src);
     switch (Knockout) {
-    case 0: CReq.Comm.EnableReadMotion = false; break;
-    case 1: CReq.Comm.EnableBlocking = false; break;
-    case 2: CReq.Comm.EnableWriteBlocking = false; break;
-    case 3: CReq.Comm.Placement.OptimisticConditionalReads = false; break;
+    case 0: CReq.EnableReadMotion = false; break;
+    case 1: CReq.EnableBlocking = false; break;
+    case 2: CReq.EnableWriteBlocking = false; break;
+    case 3: CReq.Placement.OptimisticConditionalReads = false; break;
     case 4:
-      CReq.Comm.EnableReadMotion = false;
-      CReq.Comm.EnableBlocking = false;
+      CReq.EnableReadMotion = false;
+      CReq.EnableBlocking = false;
       break;
     }
     RunResult Opt = P.run(P.compile(CReq), RR);

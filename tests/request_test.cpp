@@ -51,11 +51,11 @@ TEST(CompileRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   EXPECT_NE(Base.keyBytes(), Locality.keyBytes());
 
   CompileRequest Threshold = Base;
-  Threshold.Comm.BlockThresholdWords = 7;
+  Threshold.BlockThresholdWords = 7;
   EXPECT_NE(Base.keyBytes(), Threshold.keyBytes());
 
   CompileRequest Knockout = Base;
-  Knockout.Comm.EnableReadMotion = false;
+  Knockout.EnableReadMotion = false;
   EXPECT_NE(Base.keyBytes(), Knockout.keyBytes());
 }
 
@@ -78,11 +78,79 @@ TEST(CompileRequestKeyTest, SourceIsLengthPrefixed) {
   EXPECT_NE(A.keyBytes().find("2:ab"), std::string::npos);
 }
 
+//===----------------------------------------------------------------------===//
+// Key-byte goldens. The service's cache, the serve `key`/`compile_key`
+// answers and perfbench's must-miss check are all functions of these bytes,
+// so a change to them must come with a new version tag, never silently.
+//===----------------------------------------------------------------------===//
+
+TEST(KeyBytesGoldenTest, CompileRequestPresets) {
+  EXPECT_EQ(CompileRequest::optimized("int main() { return 0; }").keyBytes(),
+            "earthcc-compile-v1;optimize=1;locality=0;read-motion=1;"
+            "blocking=1;redundancy-elim=1;write-blocking=1;"
+            "speculative-reads=0;block-threshold=3;max-overfetch=4;"
+            "loop-freq=10;optimistic-cond=1;"
+            "source=24:int main() { return 0; };");
+  EXPECT_EQ(CompileRequest::simple("int main() { return 0; }").keyBytes(),
+            "earthcc-compile-v1;optimize=0;locality=0;read-motion=1;"
+            "blocking=1;redundancy-elim=1;write-blocking=1;"
+            "speculative-reads=0;block-threshold=3;max-overfetch=4;"
+            "loop-freq=10;optimistic-cond=1;"
+            "source=24:int main() { return 0; };");
+}
+
+TEST(KeyBytesGoldenTest, DefaultRunRequest) {
+  EXPECT_EQ(RunRequest().keyBytes(),
+            "earthcc-run-v4;entry=4:main;args=0;nodes=4;sequential=0;"
+            "topology=5:ideal;distribution=6:cyclic;net-hop=450;"
+            "net-link-word=160;dist-block=8;engine=1;null-reads=0;"
+            "max-steps=500000000;quantum=64;read-issue=1908;"
+            "write-issue=1749;blk-issue=2602;net-delay=1800;su-read=1601;"
+            "su-write=1109;su-blk=3338;su-atomic=1601;per-word=160;"
+            "local-fallback=250;local-blk-word=4;stmt=40;copy=10;"
+            "local-access=20;call=200;return=100;spawn=600;ctx-switch=400;"
+            "profile=1;");
+}
+
+TEST(KeyBytesGoldenTest, EveryKeyedRunFieldOffItsDefault) {
+  CompileRequest C;
+  RunRequest R;
+  std::string Err;
+  // A sequential run keys the effective machine: one node, not eight.
+  ASSERT_TRUE(applyRequestOption(C, R, "nodes", "8", Err)) << Err;
+  ASSERT_TRUE(applyRequestOption(C, R, "seq", "on", Err)) << Err;
+  R.Entry = "start";
+  R.Args = {RtValue::undef(), RtValue::makeInt(-7), RtValue::makeDbl(0.1),
+            RtValue::makePtr(GlobalAddr{2, 5})};
+  R.Topo = Topology::Torus2D;
+  R.Dist = Distribution::Block;
+  R.NetHopNs = 900;
+  R.NetLinkWordNs = 320.5;
+  R.DistBlockSize = 16;
+  R.Engine = ExecEngine::AST;
+  R.AllowNullReads = true;
+  R.MaxSteps = 1000;
+  R.EUQuantum = 16;
+  R.Costs.NetDelay = 1234.5;
+  R.RecordProfile = false;
+  EXPECT_EQ(R.keyBytes(),
+            "earthcc-run-v4;entry=5:start;args=4;arg=5:undef;"
+            "arg-int=18446744073709551609;arg-dbl=0.10000000000000001;"
+            "arg-ptr=4:n2:5;nodes=1;sequential=1;topology=7:torus2d;"
+            "distribution=5:block;net-hop=900;net-link-word=320.5;"
+            "dist-block=16;engine=0;null-reads=1;max-steps=1000;quantum=16;"
+            "read-issue=1908;write-issue=1749;blk-issue=2602;"
+            "net-delay=1234.5;su-read=1601;su-write=1109;su-blk=3338;"
+            "su-atomic=1601;per-word=160;local-fallback=250;"
+            "local-blk-word=4;stmt=40;copy=10;local-access=20;call=200;"
+            "return=100;spawn=600;ctx-switch=400;profile=0;");
+}
+
 TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   RunRequest Base;
 
   RunRequest Nodes = Base;
-  Nodes.Nodes = 8;
+  Nodes.NumNodes = 8;
   EXPECT_NE(Base.keyBytes(), Nodes.keyBytes());
 
   RunRequest Engine = Base;
@@ -90,7 +158,7 @@ TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   EXPECT_NE(Base.keyBytes(), Engine.keyBytes());
 
   RunRequest Seq = Base;
-  Seq.Sequential = true;
+  Seq.SequentialMode = true;
   EXPECT_NE(Base.keyBytes(), Seq.keyBytes());
 
   RunRequest Entry = Base;
@@ -135,12 +203,6 @@ TEST(RunRequestKeyTest, NetworkModelFieldsPerturbKey) {
   RunRequest Block = Base;
   Block.DistBlockSize = 17;
   EXPECT_NE(Base.keyBytes(), Block.keyBytes());
-
-  // And machine() forwards all of them.
-  MachineConfig MC = Topo.machine();
-  EXPECT_EQ(MC.Topo, Topology::Torus2D);
-  EXPECT_EQ(Dist.machine().Dist, Distribution::Block);
-  EXPECT_EQ(Block.machine().DistBlockSize, 17u);
 }
 
 TEST(RunRequestKeyTest, ProfileFlagPerturbsKey) {
@@ -162,7 +224,7 @@ TEST(RunRequestKeyTest, InstrumentationDoesNotPerturbKey) {
   // Attaching observers must never change which cached artifact a request
   // maps to — they observe the run, they don't define it.
   ChromeTraceSink Sink;
-  B.Sink = &Sink;
+  B.Trace = &Sink;
   CommProfiler Prof;
   B.Profiler = &Prof;
   EXPECT_EQ(A.keyBytes(), B.keyBytes());
@@ -196,21 +258,11 @@ TEST(RunRequestKeyTest, SequentialNormalizesNodeCount) {
   // Sequential mode forces one node, and the key uses the *effective*
   // machine: a 4-node and an 8-node sequential request are one artifact.
   RunRequest A, B;
-  A.Sequential = B.Sequential = true;
-  A.Nodes = 4;
-  B.Nodes = 8;
+  A.SequentialMode = B.SequentialMode = true;
+  A.NumNodes = 4;
+  B.NumNodes = 8;
   EXPECT_EQ(A.keyBytes(), B.keyBytes());
-  EXPECT_EQ(A.machine().NumNodes, 1u);
-}
-
-TEST(RunRequestTest, DefaultsMirrorMachineConfig) {
-  RunRequest R;
-  MachineConfig MC;
-  EXPECT_EQ(R.Engine, MC.Engine);
-  EXPECT_EQ(R.Topo, MC.Topo);
-  EXPECT_EQ(R.MaxSteps, MC.MaxSteps);
-  EXPECT_EQ(R.EUQuantum, MC.EUQuantum);
-  EXPECT_EQ(R.machine().Costs.NetDelay, MC.Costs.NetDelay);
+  EXPECT_EQ(A.nodes(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,7 +274,7 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   RunRequest R;
   std::string Err;
   EXPECT_TRUE(applyRequestOption(C, R, "nodes", "8", Err)) << Err;
-  EXPECT_EQ(R.Nodes, 8u);
+  EXPECT_EQ(R.NumNodes, 8u);
   EXPECT_TRUE(applyRequestOption(C, R, "engine", "ast", Err)) << Err;
   EXPECT_EQ(R.Engine, ExecEngine::AST);
   EXPECT_TRUE(applyRequestOption(C, R, "no-opt", "", Err)) << Err;
@@ -230,7 +282,7 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_TRUE(applyRequestOption(C, R, "locality", "on", Err)) << Err;
   EXPECT_TRUE(C.InferLocality);
   EXPECT_TRUE(applyRequestOption(C, R, "threshold", "5", Err)) << Err;
-  EXPECT_EQ(C.Comm.BlockThresholdWords, 5u);
+  EXPECT_EQ(C.BlockThresholdWords, 5u);
   EXPECT_TRUE(applyRequestOption(C, R, "entry", "start", Err)) << Err;
   EXPECT_EQ(R.Entry, "start");
   EXPECT_TRUE(applyRequestOption(C, R, "lower-threads", "4", Err)) << Err;
@@ -240,7 +292,7 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_TRUE(applyRequestOption(C, R, "quantum", "16", Err)) << Err;
   EXPECT_EQ(R.EUQuantum, 16u);
   EXPECT_TRUE(applyRequestOption(C, R, "seq", "on", Err)) << Err;
-  EXPECT_TRUE(R.Sequential);
+  EXPECT_TRUE(R.SequentialMode);
   EXPECT_TRUE(applyRequestOption(C, R, "topology", "torus2d", Err)) << Err;
   EXPECT_EQ(R.Topo, Topology::Torus2D);
   EXPECT_TRUE(applyRequestOption(C, R, "distribution", "block", Err)) << Err;

@@ -111,7 +111,7 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   CompileRequest CReq = CompileRequest::optimized(Program);
 
   RunRequest Base;
-  Base.Nodes = 4;
+  Base.NumNodes = 4;
   RunResponse R1 = S.submitRun(CReq, Base).get();
   ASSERT_TRUE(R1.OK) << R1.Error;
   EXPECT_FALSE(R1.CacheHit);
@@ -133,14 +133,14 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_EQ(RAst.Sim->Counters.total(), R1.Sim->Counters.total());
 
   RunRequest EightNodes = Base;
-  EightNodes.Nodes = 8;
+  EightNodes.NumNodes = 8;
   EXPECT_FALSE(S.submitRun(CReq, EightNodes).get().CacheHit);
 
   // Attaching a trace sink is NOT keyed: the request still hits, and the
   // cached (untraced) result is returned unchanged.
   ChromeTraceSink Sink;
   RunRequest Traced = Base;
-  Traced.Sink = &Sink;
+  Traced.Trace = &Sink;
   RunResponse RTraced = S.submitRun(CReq, Traced).get();
   EXPECT_TRUE(RTraced.CacheHit);
   EXPECT_EQ(RTraced.Sim.get(), R1.Sim.get());
@@ -158,7 +158,7 @@ TEST(ServiceDedupTest, ConcurrentIdenticalRequestsCompileOnce) {
   CompileService S(workers(8));
   CompileRequest CReq = CompileRequest::optimized(Program);
   RunRequest RReq;
-  RReq.Nodes = 4;
+  RReq.NumNodes = 4;
 
   std::vector<std::future<RunResponse>> Futures;
   for (int I = 0; I != 8; ++I)
@@ -264,7 +264,7 @@ TEST(ServiceDeterminismTest, CachedResponseBitIdenticalToFresh) {
   // per-site comm profile.
   CompileRequest CReq = CompileRequest::optimized(Program);
   RunRequest RReq;
-  RReq.Nodes = 4;
+  RReq.NumNodes = 4;
 
   CompileService S1(workers(2));
   RunResponse Fresh1 = S1.submitRun(CReq, RReq).get();
@@ -298,7 +298,7 @@ TEST(ServiceProfileTest, ProfileRecordedOnlyWhenRequested) {
   CompileService S(workers(2));
   CompileRequest CReq = CompileRequest::optimized(Program);
   RunRequest Off;
-  Off.Nodes = 2;
+  Off.NumNodes = 2;
   Off.RecordProfile = false;
   RunResponse Plain = S.submitRun(CReq, Off).get();
   ASSERT_TRUE(Plain.OK) << Plain.Error;
@@ -525,6 +525,29 @@ TEST(ServeProtocolTest, EveryAnswerIsValidJson) {
   EXPECT_EQ(ById[4].getNumber("exit", 0), 1e300);
 }
 
+TEST(ServeProtocolTest, IntegersCrossExactly) {
+  // 2^53 + 1 has no double: an integer exit value and an integer argument
+  // must still be answered digit for digit.
+  MetricsRegistry Reg;
+  ServeOptions Opts;
+  Opts.Service.Workers = 1;
+  Opts.Service.Metrics = &Reg;
+  std::istringstream In(
+      R"({"id":1,"op":"run","source":"int main(){ return 9007199254740993; }"})"
+      "\n"
+      R"({"id":2,"op":"run","source":"int main(int a){ return a; }",)"
+      R"("args":[9007199254740993]})"
+      "\n");
+  std::ostringstream Out;
+  EXPECT_EQ(runServeLoop(In, Out, Opts), 2u);
+  std::istringstream Lines(Out.str());
+  unsigned Answers = 0;
+  for (std::string Line; std::getline(Lines, Line); ++Answers)
+    EXPECT_NE(Line.find("\"exit\":9007199254740993"), std::string::npos)
+        << Line;
+  EXPECT_EQ(Answers, 2u) << Out.str();
+}
+
 TEST(ServiceShutdownTest, DestructionDrainsPendingRequests) {
   // Futures obtained before destruction must complete: the pool drains its
   // queue (workers finish everything submitted) before members die.
@@ -534,7 +557,7 @@ TEST(ServiceShutdownTest, DestructionDrainsPendingRequests) {
     CompileRequest CReq = CompileRequest::optimized(Program);
     for (unsigned N : {2u, 4u, 8u}) {
       RunRequest RReq;
-      RReq.Nodes = N;
+      RReq.NumNodes = N;
       Futures.push_back(S.submitRun(CReq, RReq));
     }
   } // destructor joins here
