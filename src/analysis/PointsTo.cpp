@@ -70,9 +70,7 @@ unsigned PointsToAnalysis::regionOf(unsigned Obj, const StructType *S) {
   if (It != Regions.end())
     return It->second;
   unsigned Id = static_cast<unsigned>(Objects.size());
-  Objects.push_back({/*IsAnchor=*/true, Root, S,
-                     Objects[Root].Name + "/" +
-                         (S ? S->name() : std::string("scalar"))});
+  Objects.push_back({/*IsAnchor=*/true, Root, S});
   Regions[Key] = Id;
   return Id;
 }
@@ -87,8 +85,7 @@ void PointsToAnalysis::collect(const Module &M) {
       const Type *Pointee = P->type()->pointee();
       const StructType *Ty =
           Pointee->isStruct() ? Pointee->structType() : nullptr;
-      Objects.push_back({/*IsAnchor=*/true, Obj, Ty,
-                         "anchor " + F->name() + "." + P->name()});
+      Objects.push_back({/*IsAnchor=*/true, Obj, Ty});
       Pts[varNode(P)].insert({Obj, 0});
     }
   }
@@ -186,9 +183,7 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
         const Type *Pointee = C.Result->type()->pointee();
         Objects.push_back({/*IsAnchor=*/false, Obj,
                            Pointee->isStruct() ? Pointee->structType()
-                                               : nullptr,
-                           "site S" + std::to_string(S.label()) + "@" +
-                               F.name()});
+                                               : nullptr});
         Pts[varNode(C.Result)].insert({Obj, 0});
       }
       return;
@@ -352,9 +347,4 @@ bool PointsToAnalysis::mayAlias(const Var *P, unsigned OffP, const Var *Q,
       return true;
   }
   return false;
-}
-
-std::string PointsToAnalysis::describeObject(unsigned Obj) const {
-  assert(Obj < Objects.size() && "bad object id");
-  return Objects[Obj].Name;
 }

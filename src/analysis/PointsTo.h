@@ -37,7 +37,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace earthcc {
@@ -82,21 +81,11 @@ public:
   bool mayAlias(const Var *P, unsigned OffP, const Var *Q,
                 unsigned OffQ) const;
 
-  /// Number of abstract objects (for diagnostics and tests).
-  unsigned objectCount() const { return static_cast<unsigned>(Objects.size()); }
-
-  /// Human-readable description of an object ("anchor f.p", "site S12@g").
-  std::string describeObject(unsigned Obj) const;
-
-  /// True if \p Obj is a parameter region anchor.
-  bool isAnchor(unsigned Obj) const { return Objects[Obj].IsAnchor; }
-
 private:
   struct Object {
     bool IsAnchor = false;        ///< Anchor or derived region.
     unsigned Root = 0;            ///< Root anchor id (self for anchors).
     const StructType *Ty = nullptr; ///< Pointee struct (null: untyped).
-    std::string Name;
   };
 
   /// The derived region "objects of struct type \p S reachable from the

@@ -53,7 +53,8 @@ struct GlobalAddr {
 /// selects carries meaning. A read that does not check the kind first goes
 /// through asInt(), which returns 0 for any other kind: the value the
 /// inactive fields held when each payload had storage of its own, which
-/// programs observe (negating a pointer yields 0; a double main exits 0).
+/// programs observe (a double main exits 0; IR built directly that negates
+/// a pointer yields 0, though the frontend rejects `-p`).
 struct RtValue {
   enum class Kind : uint8_t { Undef, Int, Dbl, Ptr } K = Kind::Undef;
   union {

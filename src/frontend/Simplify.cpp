@@ -270,6 +270,72 @@ private:
   }
 
   //===--------------------------------------------------------------------===
+  // Operator typing: every binary and unary expression is typed here.
+  //===--------------------------------------------------------------------===
+
+  static BinaryOp binaryOpOf(Expr::BinOp Op) {
+    switch (Op) {
+    case Expr::BinOp::Add: return BinaryOp::Add;
+    case Expr::BinOp::Sub: return BinaryOp::Sub;
+    case Expr::BinOp::Mul: return BinaryOp::Mul;
+    case Expr::BinOp::Div: return BinaryOp::Div;
+    case Expr::BinOp::Rem: return BinaryOp::Rem;
+    case Expr::BinOp::Lt: return BinaryOp::Lt;
+    case Expr::BinOp::Le: return BinaryOp::Le;
+    case Expr::BinOp::Gt: return BinaryOp::Gt;
+    case Expr::BinOp::Ge: return BinaryOp::Ge;
+    case Expr::BinOp::Eq: return BinaryOp::Eq;
+    case Expr::BinOp::Ne: return BinaryOp::Ne;
+    case Expr::BinOp::LAnd: return BinaryOp::And;
+    case Expr::BinOp::LOr: return BinaryOp::Or;
+    }
+    return BinaryOp::Add;
+  }
+
+  static BinaryOp negatedComparison(BinaryOp Op) {
+    switch (Op) {
+    case BinaryOp::Lt: return BinaryOp::Ge;
+    case BinaryOp::Le: return BinaryOp::Gt;
+    case BinaryOp::Gt: return BinaryOp::Le;
+    case BinaryOp::Ge: return BinaryOp::Lt;
+    case BinaryOp::Eq: return BinaryOp::Ne;
+    case BinaryOp::Ne: return BinaryOp::Eq;
+    default: return Op;
+    }
+  }
+
+  /// Types `A Op B` and returns its result type. A pointer operand allows
+  /// only ==/!=. Otherwise an int operand is promoted to double when the
+  /// other side is double (both are coerced at \p Loc), '%' requires
+  /// integers, and a comparison yields int.
+  const Type *typeBinary(BinaryOp Op, Operand &A, const Type *TyA, Operand &B,
+                         const Type *TyB, SourceLoc Loc) {
+    const Type *IntTy = M->types().intTy();
+    if (TyA->isPointer() || TyB->isPointer()) {
+      if (Op != BinaryOp::Eq && Op != BinaryOp::Ne)
+        Diags.error(Loc, "only ==/!= comparisons are defined on pointers");
+      return IntTy;
+    }
+    const Type *OpTy =
+        TyA->isDouble() || TyB->isDouble() ? M->types().doubleTy() : IntTy;
+    A = coerce(A, TyA, OpTy, Loc);
+    B = coerce(B, TyB, OpTy, Loc);
+    if (Op == BinaryOp::Rem && OpTy->isDouble())
+      Diags.error(Loc, "'%' requires integer operands");
+    return isComparison(Op) ? IntTy : OpTy;
+  }
+
+  /// Types `Op A` for an operand of type \p Ty and returns its result type:
+  /// `-` requires an int or double operand, and `!` yields int.
+  const Type *typeUnary(Expr::UnOp Op, const Type *Ty, SourceLoc Loc) {
+    if (Op == Expr::UnOp::Not)
+      return M->types().intTy();
+    if (!Ty->isInt() && !Ty->isDouble())
+      Diags.error(Loc, "'-' requires an arithmetic operand");
+    return Ty;
+  }
+
+  //===--------------------------------------------------------------------===
   // Access-path resolution.
   //===--------------------------------------------------------------------===
 
@@ -389,8 +455,16 @@ private:
   // Expression lowering.
   //===--------------------------------------------------------------------===
 
-  /// Lowers an expression to an operand plus its type.
-  std::pair<Operand, const Type *> lowerExpr(const Expr &E) {
+  /// Lowers an expression to an operand plus its type. With \p Into, a
+  /// binary expression, a load, a struct-field read or a call whose value
+  /// has Into's type is computed straight into Into (the paper's `x = p->f`
+  /// with no temp); any other value lands in a temp. A load or binary
+  /// statement that writes Into, and a binary temp made for it, carries
+  /// \p At; a call keeps the call's location. Comm sites are keyed by
+  /// statement locations, so these are identity, not style.
+  std::pair<Operand, const Type *> lowerExpr(const Expr &E,
+                                             Var *Into = nullptr,
+                                             SourceLoc At = {}) {
     switch (E.K) {
     case Expr::Kind::IntLit:
       return {Operand::intConst(E.IntValue), M->types().intTy()};
@@ -434,35 +508,30 @@ private:
     }
     case Expr::Kind::Unary: {
       auto [O, Ty] = lowerExpr(*E.Lhs);
-      if (E.UOp == Expr::UnOp::Neg) {
-        // wrapSub(0, I): negation wraps like the engines' Neg step does
-        // (plain -I is UB at INT64_MIN, reachable via -(-9223372036854775808).
-        if (O.isConst())
-          return {O.getConst().isInt()
-                      ? Operand::intConst(interp::wrapSub(0, O.getConst().I))
-                      : Operand::doubleConst(-O.getConst().D),
-                  Ty};
-        Var *T = F->addTemp(Ty);
-        emit<AssignStmt>(LValue::makeVar(T),
-                         std::make_unique<UnaryRV>(UnaryOp::Neg, O))
-            ->setLoc(E.Loc);
-        return {Operand::var(T), Ty};
-      }
-      // Logical not.
-      Var *T = F->addTemp(M->types().intTy());
+      bool Neg = E.UOp == Expr::UnOp::Neg;
+      const Type *ResTy = typeUnary(E.UOp, Ty, E.Loc);
+      // wrapSub(0, I): negation wraps like the engines' Neg step does
+      // (plain -I is UB at INT64_MIN, reachable via -(-9223372036854775808).
+      if (Neg && O.isConst())
+        return {O.getConst().isInt()
+                    ? Operand::intConst(interp::wrapSub(0, O.getConst().I))
+                    : Operand::doubleConst(-O.getConst().D),
+                ResTy};
+      Var *T = F->addTemp(ResTy);
       emit<AssignStmt>(LValue::makeVar(T),
-                       std::make_unique<UnaryRV>(UnaryOp::Not, O))
+                       std::make_unique<UnaryRV>(
+                           Neg ? UnaryOp::Neg : UnaryOp::Not, O))
           ->setLoc(E.Loc);
-      return {Operand::var(T), M->types().intTy()};
+      return {Operand::var(T), ResTy};
     }
     case Expr::Kind::Binary:
-      return lowerBinary(E);
+      return lowerBinary(E, Into, At);
     case Expr::Kind::Deref:
     case Expr::Kind::Member: {
       auto P = resolvePath(E);
       if (!P)
         return {Operand::intConst(0), M->types().intTy()};
-      return loadPath(*P, E.Loc);
+      return loadPath(*P, E.Loc, Into, At);
     }
     case Expr::Kind::AddrOf: {
       // Only &(p->f) and &(*p).f shapes produce values; &shared is handled
@@ -484,103 +553,54 @@ private:
       return {Operand::var(T), ResTy};
     }
     case Expr::Kind::Call:
-      return lowerCall(E, /*ResultHint=*/nullptr);
+      return lowerCall(E, Into);
     }
     return {Operand::intConst(0), M->types().intTy()};
   }
 
-  /// Emits the load for a resolved access path; returns value operand.
-  std::pair<Operand, const Type *> loadPath(const AccessPath &P,
-                                            SourceLoc Loc) {
-    switch (P.K) {
-    case AccessPath::Kind::Var:
+  /// The variable a value of type \p Ty is computed into: \p Into when the
+  /// types match, else a new temp.
+  Var *resultVar(Var *Into, const Type *Ty) {
+    return Into && Into->type() == Ty ? Into : F->addTemp(Ty);
+  }
+
+  /// Emits the load for a resolved access path at \p Loc (at \p At when it
+  /// lands in \p Into, see lowerExpr); returns value operand.
+  std::pair<Operand, const Type *> loadPath(const AccessPath &P, SourceLoc Loc,
+                                            Var *Into, SourceLoc At) {
+    if (P.K == AccessPath::Kind::Var)
       return {Operand::var(P.Base), P.Ty};
-    case AccessPath::Kind::StructField: {
-      if (P.Ty->isStruct()) {
-        Diags.error(Loc, "struct value used as a scalar");
-        return {Operand::intConst(0), M->types().intTy()};
-      }
-      Var *T = F->addTemp(P.Ty);
-      emit<AssignStmt>(LValue::makeVar(T),
-                       std::make_unique<FieldReadRV>(P.Base, P.OffsetWords,
-                                                     P.FieldName, P.Ty))
-          ->setLoc(Loc);
-      return {Operand::var(T), P.Ty};
+    bool Indirect = P.K == AccessPath::Kind::Indirect;
+    if (P.Ty->isStruct()) {
+      Diags.error(Loc, Indirect ? "loading whole structs is not supported; "
+                                  "read fields individually"
+                                : "struct value used as a scalar");
+      return {Operand::intConst(0), M->types().intTy()};
     }
-    case AccessPath::Kind::Indirect: {
-      if (P.Ty->isStruct()) {
-        Diags.error(Loc, "loading whole structs is not supported; read "
-                         "fields individually");
-        return {Operand::intConst(0), M->types().intTy()};
-      }
-      Var *T = F->addTemp(P.Ty);
-      emit<AssignStmt>(LValue::makeVar(T),
-                       std::make_unique<LoadRV>(P.Base, P.OffsetWords,
-                                                P.FieldName, P.Ty,
-                                                localityOf(P.Base)))
-          ->setLoc(Loc);
-      return {Operand::var(T), P.Ty};
-    }
-    }
-    return {Operand::intConst(0), M->types().intTy()};
+    std::unique_ptr<RValue> R;
+    if (Indirect)
+      R = std::make_unique<LoadRV>(P.Base, P.OffsetWords, P.FieldName, P.Ty,
+                                   localityOf(P.Base));
+    else
+      R = std::make_unique<FieldReadRV>(P.Base, P.OffsetWords, P.FieldName,
+                                        P.Ty);
+    Var *T = resultVar(Into, P.Ty);
+    emit<AssignStmt>(LValue::makeVar(T), std::move(R))
+        ->setLoc(T == Into ? At : Loc);
+    return {Operand::var(T), P.Ty};
   }
 
-  std::pair<Operand, const Type *> lowerBinary(const Expr &E) {
+  std::pair<Operand, const Type *> lowerBinary(const Expr &E, Var *Into,
+                                               SourceLoc At) {
     if (E.BOp == Expr::BinOp::LAnd || E.BOp == Expr::BinOp::LOr)
       return lowerShortCircuit(E);
-
     auto [A, TyA] = lowerExpr(*E.Lhs);
     auto [B, TyB] = lowerExpr(*E.Rhs);
-
-    BinaryOp Op;
-    switch (E.BOp) {
-    case Expr::BinOp::Add: Op = BinaryOp::Add; break;
-    case Expr::BinOp::Sub: Op = BinaryOp::Sub; break;
-    case Expr::BinOp::Mul: Op = BinaryOp::Mul; break;
-    case Expr::BinOp::Div: Op = BinaryOp::Div; break;
-    case Expr::BinOp::Rem: Op = BinaryOp::Rem; break;
-    case Expr::BinOp::Lt: Op = BinaryOp::Lt; break;
-    case Expr::BinOp::Le: Op = BinaryOp::Le; break;
-    case Expr::BinOp::Gt: Op = BinaryOp::Gt; break;
-    case Expr::BinOp::Ge: Op = BinaryOp::Ge; break;
-    case Expr::BinOp::Eq: Op = BinaryOp::Eq; break;
-    case Expr::BinOp::Ne: Op = BinaryOp::Ne; break;
-    default:
-      Op = BinaryOp::Add;
-      break;
-    }
-
-    const Type *IntTy = M->types().intTy();
-    const Type *DblTy = M->types().doubleTy();
-
-    // Pointer comparisons (against pointers or NULL).
-    bool PtrInvolved = (TyA && TyA->isPointer()) || (TyB && TyB->isPointer());
-    if (PtrInvolved) {
-      if (!isComparison(Op) ||
-          (Op != BinaryOp::Eq && Op != BinaryOp::Ne)) {
-        Diags.error(E.Loc, "only ==/!= comparisons are defined on pointers");
-      }
-      Var *T = F->addTemp(IntTy);
-      emit<AssignStmt>(LValue::makeVar(T),
-                       std::make_unique<BinaryRV>(Op, A, B))
-          ->setLoc(E.Loc);
-      return {Operand::var(T), IntTy};
-    }
-
-    // Arithmetic promotion int -> double.
-    const Type *OpTy = IntTy;
-    if ((TyA && TyA->isDouble()) || (TyB && TyB->isDouble()))
-      OpTy = DblTy;
-    A = coerce(A, TyA, OpTy, E.Loc);
-    B = coerce(B, TyB, OpTy, E.Loc);
-
-    if (Op == BinaryOp::Rem && OpTy->isDouble())
-      Diags.error(E.Loc, "'%' requires integer operands");
-
-    const Type *ResTy = isComparison(Op) ? IntTy : OpTy;
-    Var *T = F->addTemp(ResTy);
+    BinaryOp Op = binaryOpOf(E.BOp);
+    const Type *ResTy = typeBinary(Op, A, TyA, B, TyB, E.Loc);
+    Var *T = resultVar(Into, ResTy);
     emit<AssignStmt>(LValue::makeVar(T), std::make_unique<BinaryRV>(Op, A, B))
-        ->setLoc(E.Loc);
+        ->setLoc(Into ? At : E.Loc);
     return {Operand::var(T), ResTy};
   }
 
@@ -623,51 +643,13 @@ private:
   /// current sequence. With \p Negate, produces the negated condition.
   std::unique_ptr<RValue> lowerCondRV(const Expr &E, bool Negate = false) {
     // Direct comparison: keep it as a BinaryRV when both sides are simple.
-    if (E.K == Expr::Kind::Binary) {
-      switch (E.BOp) {
-      case Expr::BinOp::Lt:
-      case Expr::BinOp::Le:
-      case Expr::BinOp::Gt:
-      case Expr::BinOp::Ge:
-      case Expr::BinOp::Eq:
-      case Expr::BinOp::Ne: {
-        auto [A, TyA] = lowerExpr(*E.Lhs);
-        auto [B, TyB] = lowerExpr(*E.Rhs);
-        BinaryOp Op;
-        switch (E.BOp) {
-        case Expr::BinOp::Lt: Op = BinaryOp::Lt; break;
-        case Expr::BinOp::Le: Op = BinaryOp::Le; break;
-        case Expr::BinOp::Gt: Op = BinaryOp::Gt; break;
-        case Expr::BinOp::Ge: Op = BinaryOp::Ge; break;
-        case Expr::BinOp::Eq: Op = BinaryOp::Eq; break;
-        default: Op = BinaryOp::Ne; break;
-        }
-        if (Negate) {
-          switch (Op) {
-          case BinaryOp::Lt: Op = BinaryOp::Ge; break;
-          case BinaryOp::Le: Op = BinaryOp::Gt; break;
-          case BinaryOp::Gt: Op = BinaryOp::Le; break;
-          case BinaryOp::Ge: Op = BinaryOp::Lt; break;
-          case BinaryOp::Eq: Op = BinaryOp::Ne; break;
-          case BinaryOp::Ne: Op = BinaryOp::Eq; break;
-          default: break;
-          }
-        }
-        bool PtrInvolved =
-            (TyA && TyA->isPointer()) || (TyB && TyB->isPointer());
-        if (!PtrInvolved) {
-          const Type *OpTy = ((TyA && TyA->isDouble()) ||
-                              (TyB && TyB->isDouble()))
-                                 ? M->types().doubleTy()
-                                 : M->types().intTy();
-          A = coerce(A, TyA, OpTy, E.Loc);
-          B = coerce(B, TyB, OpTy, E.Loc);
-        }
-        return std::make_unique<BinaryRV>(Op, A, B);
-      }
-      default:
-        break;
-      }
+    if (E.K == Expr::Kind::Binary && isComparison(binaryOpOf(E.BOp))) {
+      auto [A, TyA] = lowerExpr(*E.Lhs);
+      auto [B, TyB] = lowerExpr(*E.Rhs);
+      BinaryOp Op = binaryOpOf(E.BOp);
+      typeBinary(Op, A, TyA, B, TyB, E.Loc);
+      return std::make_unique<BinaryRV>(Negate ? negatedComparison(Op) : Op,
+                                        A, B);
     }
     auto [O, Ty] = lowerExpr(E);
     (void)Ty;
@@ -698,13 +680,12 @@ private:
     return Intrinsic::None;
   }
 
-  /// Lowers a call expression. \p ResultHint, when non-null, receives the
-  /// result (used by `x = f(...)` to avoid an extra temp, and to type
-  /// pmalloc results).
-  std::pair<Operand, const Type *> lowerCall(const Expr &E, Var *ResultHint) {
+  /// Lowers a call expression; a result of \p Into's type lands in Into,
+  /// and pmalloc's pointer type is Into's.
+  std::pair<Operand, const Type *> lowerCall(const Expr &E, Var *Into) {
     // Atomic intrinsics on shared variables.
     if (E.Name == "writeto" || E.Name == "addto" || E.Name == "valueof")
-      return lowerAtomic(E, ResultHint);
+      return lowerAtomic(E);
 
     CallPlacement Placement = CallPlacement::Default;
     Operand PlaceArg;
@@ -734,7 +715,7 @@ private:
 
     Intrinsic Intrin = intrinsicByName(E.Name);
     if (Intrin != Intrinsic::None)
-      return lowerIntrinsic(E, Intrin, ResultHint, Placement, PlaceArg);
+      return lowerIntrinsic(E, Intrin, Into, Placement, PlaceArg);
 
     earthcc::Function *Callee = M->findFunction(E.Name);
     if (!Callee) {
@@ -752,9 +733,7 @@ private:
                             E.Args[I]->Loc));
     }
     const Type *RetTy = Callee->returnType();
-    Var *Result = nullptr;
-    if (!RetTy->isVoid())
-      Result = ResultHint ? ResultHint : F->addTemp(RetTy);
+    Var *Result = RetTy->isVoid() ? nullptr : resultVar(Into, RetTy);
     auto *CS = emit<CallStmt>(Result, E.Name, std::move(Args));
     CS->Callee = Callee;
     CS->Placement = Placement;
@@ -766,7 +745,7 @@ private:
   }
 
   std::pair<Operand, const Type *>
-  lowerIntrinsic(const Expr &E, Intrinsic Intrin, Var *ResultHint,
+  lowerIntrinsic(const Expr &E, Intrinsic Intrin, Var *Into,
                  CallPlacement Placement, Operand PlaceArg) {
     const Type *IntTy = M->types().intTy();
     const Type *DblTy = M->types().doubleTy();
@@ -788,13 +767,12 @@ private:
       }
       auto [O, Ty] = lowerExpr(*E.Args[0]);
       O = coerce(O, Ty, IntTy, E.Loc);
-      const Type *ResTy =
-          ResultHint ? ResultHint->type() : M->types().pointerTo(IntTy);
+      const Type *ResTy = Into ? Into->type() : M->types().pointerTo(IntTy);
       if (!ResTy->isPointer()) {
         Diags.error(E.Loc, "pmalloc result must be assigned to a pointer");
-        ResTy = M->types().pointerTo(IntTy);
+        return {Operand::intConst(0), ResTy};
       }
-      Var *Result = ResultHint ? ResultHint : F->addTemp(ResTy);
+      Var *Result = resultVar(Into, ResTy);
       makeCall(Result, {O});
       return {Operand::var(Result), ResTy};
     }
@@ -810,14 +788,14 @@ private:
     }
     case Intrinsic::MyNode:
     case Intrinsic::NumNodes: {
-      Var *Result = ResultHint ? ResultHint : F->addTemp(IntTy);
+      Var *Result = resultVar(Into, IntTy);
       makeCall(Result, {});
       return {Operand::var(Result), IntTy};
     }
     case Intrinsic::IntSqrt: {
       auto [O, Ty] = lowerExpr(*E.Args.at(0));
       O = coerce(O, Ty, IntTy, E.Loc);
-      Var *Result = ResultHint ? ResultHint : F->addTemp(IntTy);
+      Var *Result = resultVar(Into, IntTy);
       makeCall(Result, {O});
       return {Operand::var(Result), IntTy};
     }
@@ -825,7 +803,7 @@ private:
     case Intrinsic::Fabs: {
       auto [O, Ty] = lowerExpr(*E.Args.at(0));
       O = coerce(O, Ty, DblTy, E.Loc);
-      Var *Result = ResultHint ? ResultHint : F->addTemp(DblTy);
+      Var *Result = resultVar(Into, DblTy);
       makeCall(Result, {O});
       return {Operand::var(Result), DblTy};
     }
@@ -836,8 +814,7 @@ private:
   }
 
   /// Lowers writeto(&s, v) / addto(&s, v) / valueof(&s).
-  std::pair<Operand, const Type *> lowerAtomic(const Expr &E,
-                                               Var *ResultHint) {
+  std::pair<Operand, const Type *> lowerAtomic(const Expr &E) {
     auto sharedArg = [&](const Expr &Arg) -> Var * {
       if (Arg.K != Expr::Kind::AddrOf || Arg.Lhs->K != Expr::Kind::Ident) {
         Diags.error(Arg.Loc, "atomic intrinsics take '&sharedVar'");
@@ -861,7 +838,7 @@ private:
       Var *S = sharedArg(*E.Args[0]);
       if (!S)
         return {Operand::intConst(0), IntTy};
-      Var *Result = ResultHint ? ResultHint : F->addTemp(S->type());
+      Var *Result = F->addTemp(S->type());
       auto *A = emit<AtomicStmt>(AtomicOp::ValueOf, S, Operand(), Result);
       A->setLoc(E.Loc);
       return {Operand::var(Result), S->type()};
@@ -1002,117 +979,11 @@ private:
     }
   }
 
-  /// Lowers `V = <E>` for a plain variable target.
+  /// Lowers `V = <E>` for a plain variable target: the value is computed
+  /// into V when its type allows, else converted and copied.
   void lowerAssignTo(Var *V, const Expr &E, SourceLoc Loc) {
-    // Call results can go straight into V when the types line up.
-    if (E.K == Expr::Kind::Call) {
-      Intrinsic In = intrinsicByName(E.Name);
-      earthcc::Function *Callee = M->findFunction(E.Name);
-      const Type *RetTy = nullptr;
-      if (In == Intrinsic::PMalloc)
-        RetTy = V->type();
-      else if (In == Intrinsic::MyNode || In == Intrinsic::NumNodes ||
-               In == Intrinsic::IntSqrt)
-        RetTy = M->types().intTy();
-      else if (In == Intrinsic::Sqrt || In == Intrinsic::Fabs)
-        RetTy = M->types().doubleTy();
-      else if (In == Intrinsic::None && E.Name == "valueof")
-        RetTy = nullptr; // Handled below via generic path.
-      else if (Callee)
-        RetTy = Callee->returnType();
-      if (RetTy && RetTy == V->type()) {
-        lowerCall(E, V);
-        return;
-      }
-    }
-    // Loads and field reads can target V directly when types line up,
-    // producing the paper-style `ax = p->x` form without an extra temp.
-    if (E.K == Expr::Kind::Member || E.K == Expr::Kind::Deref) {
-      auto P = resolvePath(E);
-      if (!P)
-        return;
-      if (!P->Ty->isStruct() && P->Ty == V->type()) {
-        if (P->K == AccessPath::Kind::Indirect) {
-          emit<AssignStmt>(LValue::makeVar(V),
-                           std::make_unique<LoadRV>(P->Base, P->OffsetWords,
-                                                    P->FieldName, P->Ty,
-                                                    localityOf(P->Base)))
-              ->setLoc(Loc);
-          return;
-        }
-        if (P->K == AccessPath::Kind::StructField) {
-          emit<AssignStmt>(LValue::makeVar(V),
-                           std::make_unique<FieldReadRV>(
-                               P->Base, P->OffsetWords, P->FieldName, P->Ty))
-              ->setLoc(Loc);
-          return;
-        }
-      }
-      // Type mismatch or other shapes: fall through via loadPath + coerce.
-      auto [O, Ty] = loadPath(*P, E.Loc);
-      O = coerce(O, Ty, V->type(), Loc);
-      if (O.isVar() && O.getVar() == V)
-        return;
-      emit<AssignStmt>(LValue::makeVar(V), std::make_unique<OpndRV>(O))
-          ->setLoc(Loc);
-      return;
-    }
-
-    // Binary arithmetic/comparison can also land in V directly.
-    if (E.K == Expr::Kind::Binary && E.BOp != Expr::BinOp::LAnd &&
-        E.BOp != Expr::BinOp::LOr) {
-      auto [A, TyA] = lowerExpr(*E.Lhs);
-      auto [B, TyB] = lowerExpr(*E.Rhs);
-      BinaryOp Op;
-      bool Known = true;
-      switch (E.BOp) {
-      case Expr::BinOp::Add: Op = BinaryOp::Add; break;
-      case Expr::BinOp::Sub: Op = BinaryOp::Sub; break;
-      case Expr::BinOp::Mul: Op = BinaryOp::Mul; break;
-      case Expr::BinOp::Div: Op = BinaryOp::Div; break;
-      case Expr::BinOp::Rem: Op = BinaryOp::Rem; break;
-      case Expr::BinOp::Lt: Op = BinaryOp::Lt; break;
-      case Expr::BinOp::Le: Op = BinaryOp::Le; break;
-      case Expr::BinOp::Gt: Op = BinaryOp::Gt; break;
-      case Expr::BinOp::Ge: Op = BinaryOp::Ge; break;
-      case Expr::BinOp::Eq: Op = BinaryOp::Eq; break;
-      case Expr::BinOp::Ne: Op = BinaryOp::Ne; break;
-      default:
-        Op = BinaryOp::Add;
-        Known = false;
-        break;
-      }
-      bool PtrInvolved =
-          (TyA && TyA->isPointer()) || (TyB && TyB->isPointer());
-      const Type *OpTy = M->types().intTy();
-      if (!PtrInvolved) {
-        if ((TyA && TyA->isDouble()) || (TyB && TyB->isDouble()))
-          OpTy = M->types().doubleTy();
-        A = coerce(A, TyA, OpTy, E.Loc);
-        B = coerce(B, TyB, OpTy, E.Loc);
-      }
-      const Type *ResTy = isComparison(Op) ? M->types().intTy() : OpTy;
-      if (Known && ResTy == V->type() &&
-          (!PtrInvolved || (Op == BinaryOp::Eq || Op == BinaryOp::Ne))) {
-        emit<AssignStmt>(LValue::makeVar(V),
-                         std::make_unique<BinaryRV>(Op, A, B))
-            ->setLoc(Loc);
-        return;
-      }
-      // Fall through: re-lower generically (rare: mismatched result type).
-      Var *T = F->addTemp(ResTy);
-      emit<AssignStmt>(LValue::makeVar(T), std::make_unique<BinaryRV>(Op, A, B))
-          ->setLoc(Loc);
-      Operand O = coerce(Operand::var(T), ResTy, V->type(), Loc);
-      emit<AssignStmt>(LValue::makeVar(V), std::make_unique<OpndRV>(O))
-          ->setLoc(Loc);
-      return;
-    }
-
-    // General path: compute into an operand, then copy/convert.
-    auto [O, Ty] = lowerExpr(E);
+    auto [O, Ty] = lowerExpr(E, V, Loc);
     O = coerce(O, Ty, V->type(), Loc);
-    // Avoid a self-copy when the expression already landed in V.
     if (O.isVar() && O.getVar() == V)
       return;
     emit<AssignStmt>(LValue::makeVar(V), std::make_unique<OpndRV>(O))
@@ -1166,12 +1037,14 @@ private:
       lowerStmtInto(*InitS);
 
     // Trial-lower the condition into a scratch sequence to see whether it
-    // needs side statements.
+    // needs side statements. A condition that fails to type is not lowered
+    // again (its module never runs), so each of its errors is reported once.
+    unsigned Errors = Diags.errorCount();
     auto Scratch = std::make_unique<SeqStmt>();
     SeqStack.push_back(Scratch.get());
     auto TrialCond = lowerCondRV(*S.Cond);
     SeqStack.pop_back();
-    bool SimpleCond = Scratch->empty();
+    bool SimpleCond = Scratch->empty() || Diags.errorCount() != Errors;
 
     if (SimpleCond) {
       auto While = std::make_unique<WhileStmt>(

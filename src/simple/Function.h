@@ -38,7 +38,6 @@ public:
   const std::vector<Var *> &params() const { return Params; }
   SeqStmt &body() { return *Body; }
   const SeqStmt &body() const { return *Body; }
-  void setBody(std::unique_ptr<SeqStmt> NewBody) { Body = std::move(NewBody); }
 
   /// Creates a parameter (in declaration order).
   Var *addParam(const std::string &ParamName, const Type *Ty);

@@ -36,16 +36,6 @@ std::unique_ptr<RValue> IRBuilder::deref(const Var *Base) {
   return std::make_unique<LoadRV>(Base, 0, "", Pointee, Loc);
 }
 
-std::unique_ptr<RValue> IRBuilder::fieldRead(const Var *StructVar,
-                                             const std::string &Field) {
-  assert(StructVar->type()->isStruct() && "field read of non-struct");
-  const StructType::Field *Fld =
-      StructVar->type()->structType()->findField(Field);
-  assert(Fld && "no such field");
-  return std::make_unique<FieldReadRV>(StructVar, Fld->OffsetWords, Field,
-                                       Fld->Ty);
-}
-
 AssignStmt *IRBuilder::assign(const Var *Target, std::unique_ptr<RValue> R) {
   auto S = std::make_unique<AssignStmt>(LValue::makeVar(Target), std::move(R));
   return static_cast<AssignStmt *>(insert(std::move(S)));
@@ -58,18 +48,6 @@ AssignStmt *IRBuilder::store(const Var *Base, const std::string &Field,
       Base->type()->isLocalPointer() ? Locality::Local : Locality::Remote;
   auto S = std::make_unique<AssignStmt>(
       LValue::makeStore(Base, Fld->OffsetWords, Field, Loc),
-      std::make_unique<OpndRV>(Val));
-  return static_cast<AssignStmt *>(insert(std::move(S)));
-}
-
-AssignStmt *IRBuilder::fieldWrite(const Var *StructVar,
-                                  const std::string &Field, Operand Val) {
-  assert(StructVar->type()->isStruct() && "field write of non-struct");
-  const StructType::Field *Fld =
-      StructVar->type()->structType()->findField(Field);
-  assert(Fld && "no such field");
-  auto S = std::make_unique<AssignStmt>(
-      LValue::makeFieldWrite(StructVar, Fld->OffsetWords, Field),
       std::make_unique<OpndRV>(Val));
   return static_cast<AssignStmt *>(insert(std::move(S)));
 }

@@ -36,7 +36,6 @@ public:
 
   Module &module() { return M; }
   Function &function() { return F; }
-  SeqStmt &currentSeq() { return *SeqStack.back(); }
 
   //===--------------------------------------------------------------------===
   // RValue factories.
@@ -65,9 +64,6 @@ public:
   /// Builds `*Base` for a scalar pointee.
   std::unique_ptr<RValue> deref(const Var *Base);
 
-  std::unique_ptr<RValue> fieldRead(const Var *StructVar,
-                                    const std::string &Field);
-
   //===--------------------------------------------------------------------===
   // Statement insertion.
   //===--------------------------------------------------------------------===
@@ -79,10 +75,6 @@ public:
 
   /// Builds `Base->Field = Val`.
   AssignStmt *store(const Var *Base, const std::string &Field, Operand Val);
-
-  /// Builds `StructVar.Field = Val`.
-  AssignStmt *fieldWrite(const Var *StructVar, const std::string &Field,
-                         Operand Val);
 
   CallStmt *call(const Var *Result, const std::string &Callee,
                  std::vector<Operand> Args,

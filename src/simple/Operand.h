@@ -57,10 +57,6 @@ public:
 
   bool isShared() const { return Kind == VarKind::Shared; }
   bool isGlobal() const { return Kind == VarKind::Global; }
-  bool isCompilerTemp() const {
-    return Kind == VarKind::Temp || Kind == VarKind::CommTemp ||
-           Kind == VarKind::BlockTemp;
-  }
 
 private:
   std::string Name;

@@ -110,13 +110,6 @@ public:
       compact();
   }
 
-  /// Visits live entries in insertion order.
-  template <typename Fn> void forEach(Fn F) const {
-    for (const Entry &E : Items)
-      if (!E.Dead)
-        F(E.Key, E.Value);
-  }
-
   size_t size() const { return Index.size(); }
   bool empty() const { return Index.empty(); }
 

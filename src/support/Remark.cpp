@@ -6,8 +6,6 @@
 
 #include "support/Remark.h"
 
-#include "support/Json.h"
-
 namespace earthcc {
 
 std::string Remark::str() const {
@@ -29,27 +27,6 @@ std::string RemarkStream::str() const {
   for (const Remark &R : Remarks)
     Out += "remark: " + R.str() + "\n";
   return Out;
-}
-
-std::string RemarkStream::json() const {
-  std::string Out = "[";
-  bool First = true;
-  for (const Remark &R : Remarks) {
-    Out += First ? "" : ", ";
-    First = false;
-    Out += "{\"pass\": \"" + json::escape(R.Pass) + "\", \"category\": \"" +
-           json::escape(R.Category) + "\", \"function\": \"" +
-           json::escape(R.Function) + "\", \"loc\": \"" + R.Loc.str() +
-           "\", \"message\": \"" + json::escape(R.Message) + "\", \"args\": {";
-    bool FirstArg = true;
-    for (const auto &[K, V] : R.Args) {
-      Out += FirstArg ? "" : ", ";
-      FirstArg = false;
-      Out += "\"" + json::escape(K) + "\": \"" + json::escape(V) + "\"";
-    }
-    Out += "}}";
-  }
-  return Out + "]";
 }
 
 } // namespace earthcc

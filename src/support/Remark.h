@@ -61,10 +61,6 @@ public:
   /// One remark per line, in emission order.
   std::string str() const;
 
-  /// JSON array of remark objects (Args rendered as a nested object;
-  /// values are emitted as JSON strings).
-  std::string json() const;
-
 private:
   std::vector<Remark> Remarks;
 };

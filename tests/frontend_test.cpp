@@ -595,6 +595,206 @@ TEST(SimplifyTest, ConstantFoldingAtInt64Boundaries) {
   EXPECT_NE(IR.find("= -9223372036854775807"), std::string::npos) << IR;
 }
 
+/// Pins the SIMPLE text and statement locations of every assignment shape
+/// whose value can land straight in its target: calls whose return type
+/// matches the target and calls whose type does not, pmalloc (typed by its
+/// target), my_node/isqrt/sqrt into int and double, valueof (a temp, then a
+/// copy), remote loads and struct-field reads, arithmetic and comparisons,
+/// each into a matching and a mismatched target, and &&, unary - and !.
+/// Comm sites are keyed by statement locations, and profile rows and
+/// remarks by the sites, so the locations are identity, not style.
+TEST(SimplifyTest, AssignmentShapesLandAsBefore) {
+  auto M = compileOK(R"(
+    struct pt { int a; double b; };
+    struct node { int v; double w; struct node *next; };
+    int geti(int x) { return x + 1; }
+    double getd(double x) { return x * 2.0; }
+    int main() {
+      struct node *p;
+      struct pt s;
+      shared int c;
+      int i; int j;
+      double d; double e;
+      p = pmalloc(sizeof(node));
+      p->v = 3;
+      p->w = 1.5;
+      s.a = 5;
+      s.b = 2.5;
+      i = geti(2);
+      d = geti(3);
+      e = getd(d);
+      i = getd(e);
+      i = my_node();
+      d = my_node();
+      i = isqrt(17);
+      d = isqrt(17);
+      i = sqrt(2.0);
+      d = sqrt(2.0);
+      writeto(&c, 4);
+      i = valueof(&c);
+      i = p->v;
+      d = p->v;
+      e = p->w;
+      i = p->w;
+      i = s.a;
+      d = s.a;
+      j = i + 1;
+      d = i + 1;
+      e = d * 2.0;
+      i = d * 2.0;
+      j = i < 3;
+      d = i < 3;
+      j = p == NULL;
+      j = i && j;
+      j = -i;
+      e = -d;
+      j = !i;
+      return i + j;
+    }
+  )");
+  EXPECT_EQ(printModule(*M), R"(
+int geti(int x) {
+  int temp1;
+  S2: temp1 = x + 1;
+  S3: return temp1;
+}
+
+double getd(double x) {
+  double temp1;
+  S2: temp1 = x * 2.0;
+  S3: return temp1;
+}
+
+int main() {
+  struct node * p;
+  struct pt s;
+  int c; // shared
+  int i;
+  int j;
+  double d;
+  double e;
+  int temp1;
+  double temp2;
+  double temp3;
+  int temp4;
+  int temp5;
+  double temp6;
+  int temp7;
+  double temp8;
+  double temp9;
+  int temp10;
+  int temp11;
+  int temp12;
+  double temp13;
+  double temp14;
+  int temp15;
+  int temp16;
+  double temp17;
+  int temp18;
+  double temp19;
+  double temp20;
+  int temp21;
+  int temp22;
+  double temp23;
+  int temp24;
+  int temp25;
+  double temp26;
+  int temp27;
+  int temp28;
+  S2: p = pmalloc(3);
+  S3: p->v{r} = 3;
+  S4: p->w{r} = 1.5;
+  S5: s.a = 5;
+  S6: s.b = 2.5;
+  S7: i = geti(2);
+  S8: temp1 = geti(3);
+  S9: temp2 = (double)temp1;
+  S10: d = temp2;
+  S11: e = getd(d);
+  S12: temp3 = getd(e);
+  S13: temp4 = (int)temp3;
+  S14: i = temp4;
+  S15: i = my_node();
+  S16: temp5 = my_node();
+  S17: temp6 = (double)temp5;
+  S18: d = temp6;
+  S19: i = isqrt(17);
+  S20: temp7 = isqrt(17);
+  S21: temp8 = (double)temp7;
+  S22: d = temp8;
+  S23: temp9 = sqrt(2.0);
+  S24: temp10 = (int)temp9;
+  S25: i = temp10;
+  S26: d = sqrt(2.0);
+  S27: writeto(&c, 4);
+  S28: temp11 = valueof(&c);
+  S29: i = temp11;
+  S30: i = p->v{r};
+  S31: temp12 = p->v{r};
+  S32: temp13 = (double)temp12;
+  S33: d = temp13;
+  S34: e = p->w{r};
+  S35: temp14 = p->w{r};
+  S36: temp15 = (int)temp14;
+  S37: i = temp15;
+  S38: i = s.a;
+  S39: temp16 = s.a;
+  S40: temp17 = (double)temp16;
+  S41: d = temp17;
+  S42: j = i + 1;
+  S43: temp18 = i + 1;
+  S44: temp19 = (double)temp18;
+  S45: d = temp19;
+  S46: e = d * 2.0;
+  S47: temp20 = d * 2.0;
+  S48: temp21 = (int)temp20;
+  S49: i = temp21;
+  S50: j = i < 3;
+  S51: temp22 = i < 3;
+  S52: temp23 = (double)temp22;
+  S53: d = temp23;
+  S54: j = p == 0;
+  S55: temp24 = 0;
+  S56: if (i) {
+    S58: if (j) {
+      S60: temp24 = 1;
+    }
+  }
+  S63: j = temp24;
+  S64: temp25 = -i;
+  S65: j = temp25;
+  S66: temp26 = -d;
+  S67: e = temp26;
+  S68: temp27 = !i;
+  S69: j = temp27;
+  S70: temp28 = i + j;
+  S71: return temp28;
+}
+)");
+  std::string Locs;
+  for (const auto &F : M->functions()) {
+    Locs += F->name() + ":";
+    forEachStmt(F->body(), [&](const Stmt &S) {
+      Locs += " S" + std::to_string(S.label()) + "@" + S.loc().str();
+    });
+    Locs += "\n";
+  }
+  EXPECT_EQ(Locs,
+            "geti: S1@<unknown> S2@4:32 S3@4:23\n"
+            "getd: S1@<unknown> S2@5:38 S3@5:29\n"
+            "main: S1@<unknown> S2@12:18 S3@13:8 S4@14:8 S5@15:8 S6@16:8"
+            " S7@17:15 S8@18:15 S9@18:7 S10@18:7 S11@19:15 S12@20:15 S13@20:7"
+            " S14@20:7 S15@21:18 S16@22:18 S17@22:7 S18@22:7 S19@23:16"
+            " S20@24:16 S21@24:7 S22@24:7 S23@25:15 S24@25:7 S25@25:7 S26@26:15"
+            " S27@27:14 S28@28:18 S29@28:7 S30@29:7 S31@30:12 S32@30:7 S33@30:7"
+            " S34@31:7 S35@32:12 S36@32:7 S37@32:7 S38@33:7 S39@34:12 S40@34:7"
+            " S41@34:7 S42@35:7 S43@36:7 S44@36:7 S45@36:7 S46@37:7 S47@38:7"
+            " S48@38:7 S49@38:7 S50@39:7 S51@40:7 S52@40:7 S53@40:7 S54@41:7"
+            " S55@42:13 S56@<unknown> S57@<unknown> S58@<unknown> S59@<unknown>"
+            " S60@42:13 S61@<unknown> S62@<unknown> S63@42:7 S64@43:11 S65@43:7"
+            " S66@44:11 S67@44:7 S68@45:11 S69@45:7 S70@46:16 S71@46:7\n");
+}
+
 //===----------------------------------------------------------------------===//
 // Semantic errors.
 //===----------------------------------------------------------------------===//
@@ -627,12 +827,62 @@ TEST(SemaErrorTest, WrongArgCount) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
-TEST(SemaErrorTest, PointerArithmeticRejected) {
+/// Compiles \p Src and expects exactly one diagnostic, \p Expected
+/// ("line:col: error: message").
+void expectOneError(const std::string &Src, const std::string &Expected) {
   DiagnosticsEngine Diags;
-  compileToSimple("struct node { int v; };\n"
-                  "int f(node *p, node *q) { return p < q; }",
-                  Diags);
-  EXPECT_TRUE(Diags.hasErrors());
+  compileToSimple(Src, Diags);
+  EXPECT_EQ(Diags.errorCount(), 1u) << Src;
+  EXPECT_EQ(Diags.str(), Expected + "\n") << Src;
+}
+
+/// A pointer operand allows only ==/!=, wherever the expression appears:
+/// returned, assigned, tested, or on a branch that never runs.
+TEST(SemaErrorTest, PointerArithmeticRejected) {
+  const std::string Node = "struct node { int v; };\n";
+  const std::string Msg =
+      ": error: only ==/!= comparisons are defined on pointers";
+  expectOneError(Node + "int f(node *p, node *q) { return p < q; }",
+                 "2:36" + Msg);
+  expectOneError(Node + "int main() { struct node *p; int x; p = pmalloc(1); "
+                        "x = p + 1; return x; }",
+                 "2:59" + Msg);
+  expectOneError(Node + "int main() { struct node *p; struct node *q; "
+                        "p = pmalloc(1); q = pmalloc(1); if (p < q) return 1; "
+                        "return 0; }",
+                 "2:84" + Msg);
+  expectOneError(Node + "int main() { struct node *p; struct node *q; int x; "
+                        "p = pmalloc(1); q = pmalloc(1); x = p < q; "
+                        "return x; }",
+                 "2:91" + Msg);
+  expectOneError(Node + "int main() { struct node *p; int x; p = pmalloc(1); "
+                        "x = 0; if (x) { x = p * 2; } return x; }",
+                 "2:75" + Msg);
+}
+
+TEST(SemaErrorTest, RemainderRequiresIntegers) {
+  const std::string Msg = ": error: '%' requires integer operands";
+  expectOneError("int main() { double a; double b; double d; a = 7.0; "
+                 "b = 2.0; d = a % b; return 0; }",
+                 "1:68" + Msg);
+  expectOneError("int main() { double a; double b; a = 7.0; b = 2.0; "
+                 "if (a % b) return 1; return 0; }",
+                 "1:58" + Msg);
+}
+
+/// A loop condition is typed once: its error is not repeated for the copies
+/// evaluated before the loop and at the end of the body.
+TEST(SemaErrorTest, LoopConditionErrorReportedOnce) {
+  expectOneError("int main() { double a; int x; a = 7.5; x = 0; "
+                 "while (a % 2.0) { x = x + 1; a = a - 1.0; } return x; }",
+                 "1:56: error: '%' requires integer operands");
+}
+
+TEST(SemaErrorTest, NegatingAPointerRejected) {
+  expectOneError("struct node { int v; };\n"
+                 "int main() { struct node *p; int x; p = pmalloc(1); "
+                 "x = -p; return x; }",
+                 "2:57: error: '-' requires an arithmetic operand");
 }
 
 TEST(SemaErrorTest, StructSelfContainmentRejected) {

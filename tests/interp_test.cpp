@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "simple/IRBuilder.h"
 
 #include <gtest/gtest.h>
 
@@ -143,25 +144,25 @@ TEST(SemanticsTest, HeapListTraversal) {
 // A runtime value has one meaningful field, chosen by its kind; a step that
 // reads the integer field without checking the kind reads zero from any
 // other kind. Negating a pointer is such a read: both engines print and
-// return 0, not a negated address.
+// return 0, not a negated address. The frontend rejects `-p`, so the module
+// (`p = pmalloc(1); x = -p; print(x); return x;`) is built directly.
 TEST(SemanticsTest, InactiveFieldReadsAsZero) {
-  Pipeline P(PipelineOptions::simple());
-  CompileResult CR = P.compile(R"(
-    struct node { int v; };
-    int main() {
-      node *p;
-      int x;
-      p = pmalloc(sizeof(node));
-      x = -p;
-      print(x);
-      return x;
-    }
-  )");
-  ASSERT_TRUE(CR.OK) << CR.Messages;
+  Module M;
+  const Type *IntTy = M.types().intTy();
+  Function *Main = M.createFunction("main", IntTy);
+  Var *Ptr = Main->addLocal("p", M.types().pointerTo(IntTy));
+  Var *X = Main->addLocal("x", IntTy);
+  IRBuilder B(M, *Main);
+  B.call(Ptr, "pmalloc", {Operand::intConst(1)})->Intrin = Intrinsic::PMalloc;
+  B.assign(X, B.unary(UnaryOp::Neg, Operand::var(Ptr)));
+  B.call(nullptr, "print", {Operand::var(X)})->Intrin = Intrinsic::Print;
+  B.ret(Operand::var(X));
+  B.finish();
+  Pipeline P;
   for (ExecEngine Engine : {ExecEngine::AST, ExecEngine::Bytecode}) {
     MachineConfig MC = machine(1);
     MC.Engine = Engine;
-    RunResult R = P.run(*CR.M, MC);
+    RunResult R = P.run(M, MC);
     ASSERT_TRUE(R.OK) << R.Error;
     EXPECT_EQ(R.Output, std::vector<std::string>{"0"});
     EXPECT_EQ(R.ExitValue.K, RtValue::Kind::Int);

@@ -235,8 +235,9 @@ TEST(SideEffectsTest, ContainsReturn) {
   Function *F = A.M->findFunction("f");
   EXPECT_TRUE(A.SE->containsReturn(F->body()));
   forEachStmt(F->body(), [&](const Stmt &S) {
-    if (S.kind() == StmtKind::If)
+    if (S.kind() == StmtKind::If) {
       EXPECT_TRUE(A.SE->containsReturn(S));
+    }
   });
 }
 

@@ -358,9 +358,10 @@ TEST(SafetyTest, WriteStaysWhenOnlyOneBranchWrites) {
   // (the else path must not write).
   const auto &Body = O.F->body().Stmts;
   for (const auto &S : Body)
-    if (const auto *B = dynCastStmt<BlkMovStmt>(S.get()))
+    if (const auto *B = dynCastStmt<BlkMovStmt>(S.get())) {
       EXPECT_NE(B->Dir, BlkMovDir::WriteFromLocal)
           << "write-back escaped the conditional";
+    }
 }
 
 TEST(SafetyTest, AliasWritePreventsReuse) {

@@ -232,9 +232,10 @@ TEST(CommProfilerTest, BucketBoundsRoundTrip) {
     unsigned B = SiteProfile::bucketOf(Ns);
     ASSERT_LT(B, SiteProfile::NumBuckets) << Ns;
     EXPECT_LE(SiteProfile::bucketLowNs(B), Ns) << Ns;
-    if (B + 1 < SiteProfile::NumBuckets)
+    if (B + 1 < SiteProfile::NumBuckets) {
       EXPECT_GT(SiteProfile::bucketLowNs(B + 1), SiteProfile::bucketLowNs(B))
           << Ns;
+    }
   }
   // ~6% worst-case resolution: 16 sub-buckets per octave.
   unsigned B1 = SiteProfile::bucketOf(1024);

@@ -286,6 +286,7 @@ TEST(TraceSinkEdgeTest, JsonEscapingOfNamesAndArgs) {
   // every byte below 0x20 other than the record-separating newlines must
   // have been escaped.
   for (size_t I = 0; I != J.size(); ++I)
-    if (static_cast<unsigned char>(J[I]) < 0x20)
+    if (static_cast<unsigned char>(J[I]) < 0x20) {
       EXPECT_EQ(J[I], '\n') << "unescaped control byte at offset " << I;
+    }
 }
