@@ -231,7 +231,7 @@ const char *const PaperTable3 =
 
 int runBench(const std::string &JsonPath) {
   const int Reps = 1000;
-  CostModel CM;
+  const CostModel &CM = EarthMannaCosts;
 
   // --json OUT: also aggregate the measured runs through the counter sink.
   CounterTraceSink Counters;

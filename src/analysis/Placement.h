@@ -70,7 +70,8 @@ struct RCE {
 
 /// Options for the placement analysis.
 struct PlacementOptions {
-  double LoopFrequencyFactor = 10.0; ///< Paper: "freq * 10" out of loops.
+  /// Paper: "freq * 10" out of loops.
+  static constexpr double LoopFrequencyFactor = 10.0;
   bool OptimisticConditionalReads = true; ///< Hoist reads out of if-branches.
 };
 

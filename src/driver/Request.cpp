@@ -80,17 +80,14 @@ CompileRequest CompileRequest::optimized(std::string Source) {
 }
 
 std::string CompileRequest::keyBytes() const {
-  KeyWriter W("earthcc-compile-v1");
+  KeyWriter W("earthcc-compile-v2"); // v2: fixed paper constants dropped
   W.boolean("optimize", Optimize);
   W.boolean("locality", InferLocality);
   W.boolean("read-motion", EnableReadMotion);
   W.boolean("blocking", EnableBlocking);
   W.boolean("redundancy-elim", EnableRedundancyElim);
   W.boolean("write-blocking", EnableWriteBlocking);
-  W.boolean("speculative-reads", SpeculativeReads);
   W.integer("block-threshold", BlockThresholdWords);
-  W.integer("max-overfetch", MaxBlockOverfetch);
-  W.real("loop-freq", Placement.LoopFrequencyFactor);
   W.boolean("optimistic-cond", Placement.OptimisticConditionalReads);
   // LowerThreads and PassThreads are intentionally absent: lowering and the
   // placement/selection passes produce bit-identical output at every thread
@@ -103,7 +100,7 @@ uint64_t CompileRequest::key() const { return hashKeyBytes(keyBytes()); }
 std::string CompileRequest::keyHex() const { return keyBytesToHex(key()); }
 
 std::string RunRequest::keyBytes() const {
-  KeyWriter W("earthcc-run-v4"); // v4: profile flag added
+  KeyWriter W("earthcc-run-v5"); // v5: the fixed calibration dropped
   W.text("entry", Entry);
   W.integer("args", Args.size());
   for (const RtValue &A : Args) {
@@ -124,47 +121,19 @@ std::string RunRequest::keyBytes() const {
   }
   W.integer("nodes", nodes());
   W.boolean("sequential", SequentialMode);
-  // Topology and distribution are keyed because — unlike the engine — they
-  // change the *simulated* results: contention reorders completion times
-  // and the distribution moves data between owners. The network parameters
-  // ride along for the same reason (they only matter on non-ideal
-  // topologies, but keying them unconditionally keeps the schema a pure
-  // function of the fields).
+  // The topology is keyed because — unlike the engine — it changes the
+  // *simulated* results: contention reorders completion times. The cost
+  // calibration is not configuration (earth/CostModel.h), so it is not
+  // keyed; a change to it comes with a new schema tag.
   W.text("topology", topologyName(Topo));
-  W.text("distribution", distributionName(Dist));
-  W.real("net-hop", NetHopNs);
-  W.real("net-link-word", NetLinkWordNs);
-  W.integer("dist-block", DistBlockSize);
   W.integer("engine", static_cast<uint64_t>(Engine));
-  W.boolean("null-reads", AllowNullReads);
   W.integer("max-steps", MaxSteps);
   W.integer("quantum", EUQuantum);
-  W.real("read-issue", Costs.ReadIssue);
-  W.real("write-issue", Costs.WriteIssue);
-  W.real("blk-issue", Costs.BlkIssue);
-  W.real("net-delay", Costs.NetDelay);
-  W.real("su-read", Costs.SUReadService);
-  W.real("su-write", Costs.SUWriteService);
-  W.real("su-blk", Costs.SUBlkService);
-  W.real("su-atomic", Costs.SUAtomicService);
-  W.real("per-word", Costs.PerWord);
-  W.real("local-fallback", Costs.LocalFallback);
-  W.real("local-blk-word", Costs.LocalBlkPerWord);
-  W.real("stmt", Costs.StmtCost);
-  W.real("copy", Costs.CopyCost);
-  W.real("local-access", Costs.LocalAccess);
-  W.real("call", Costs.CallCost);
-  W.real("return", Costs.ReturnCost);
-  W.real("spawn", Costs.SpawnCost);
-  W.real("ctx-switch", Costs.CtxSwitch);
   W.boolean("profile", RecordProfile);
   // Trace and Profiler are intentionally absent: instrumentation observes a
   // run without changing its result, so it must not change the cache key.
   return W.take();
 }
-
-uint64_t RunRequest::key() const { return hashKeyBytes(keyBytes()); }
-std::string RunRequest::keyHex() const { return keyBytesToHex(key()); }
 
 //===----------------------------------------------------------------------===//
 // Declarative option table
@@ -196,22 +165,6 @@ bool earthcc::parseUnsignedValue(const std::string &V, unsigned &Out,
 }
 
 namespace {
-
-/// Network latencies in simulated ns. The ceiling sits six orders of
-/// magnitude above the defaults (450 and 160 ns) and keeps every simulated
-/// time finite.
-bool parseRealValue(const std::string &V, double &Out, std::string &Err,
-                    const char *What) {
-  char *End = nullptr;
-  double D = std::strtod(V.c_str(), &End);
-  if (V.empty() || *End != '\0' || !(D >= 0.0 && D <= 1e9)) {
-    Err = std::string(What) + " expects a number from 0 to 1e9, got '" + V +
-          "'";
-    return false;
-  }
-  Out = D;
-  return true;
-}
 
 bool badOnOff(const char *What, const std::string &V, std::string &Err) {
   Err = std::string(What) + " expects on|off, got '" + V + "'";
@@ -248,43 +201,6 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
          Err = "unknown topology '" + V + "' (valid: " +
                std::string(topologyChoices()) + ")";
          return false;
-       }},
-      {"distribution", "cyclic|block", nullptr,
-       "logical-index -> node mapping for @node placement (default cyclic, "
-       "the historical index % nodes)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         if (parseDistribution(V, R.Dist))
-           return true;
-         Err = "unknown distribution '" + V + "' (valid: " +
-               std::string(distributionChoices()) + ")";
-         return false;
-       }},
-      {"net-hop-ns", "NS", nullptr,
-       "per-hop link latency of routed topologies in simulated ns "
-       "(default 450)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         return parseRealValue(V, R.NetHopNs, Err, "net-hop-ns");
-       }},
-      {"net-link-word-ns", "NS", nullptr,
-       "per-word link occupancy (bandwidth term) of non-ideal links in "
-       "simulated ns (default 160)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         return parseRealValue(V, R.NetLinkWordNs, Err, "net-link-word-ns");
-       }},
-      {"dist-block", "N", nullptr,
-       "indices per block for --distribution=block (default 8)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         if (!parseUnsignedValue(V, R.DistBlockSize, Err, "dist-block"))
-           return false;
-         if (R.DistBlockSize == 0) {
-           Err = "dist-block must be >= 1";
-           return false;
-         }
-         return true;
        }},
       {"engine", "ast|bytecode", nullptr,
        "execution engine (identical simulated results; host speed only)",

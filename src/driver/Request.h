@@ -11,20 +11,24 @@
 ///
 ///  - CompileRequest is a PipelineOptions (phase toggles and the
 ///    communication-selection policy) plus the EARTH-C source text.
-///  - RunRequest is a MachineConfig (machine shape, engine, network, cost
-///    model, instrumentation) plus the entry call and whether a service run
+///  - RunRequest is a MachineConfig (machine shape, topology, engine,
+///    instrumentation) plus the entry call and whether a service run
 ///    records its comm profile.
 ///
 /// Every knob is therefore declared and defaulted once, in the
 /// configuration that reads it, and a request passes wherever its
-/// configuration does.
+/// configuration does. What the paper fixes is a constant, not a knob: the
+/// machine's cost calibration and routed-link latency (earth/CostModel.h,
+/// earth/NetworkModel.h), `@node` placement as `index % nodes`, and
+/// selection's guaranteed-dereference rule, block-overfetch limit and
+/// loop-frequency factor (transform/CommSelection.h, analysis/Placement.h).
 ///
 /// Both are hashable content: keyBytes() is a canonical, versioned
 /// serialization of exactly the fields that can change the result, and
-/// key() is its 64-bit FNV-1a hash. These are the *same bytes* the
-/// CompileService hashes for its content-addressed artifact cache, so "two
-/// requests collide in the cache" and "two requests are semantically
-/// identical" are one property by construction. Host-only knobs
+/// hashKeyBytes() of it is the 64-bit FNV-1a key. These are the *same
+/// bytes* the CompileService hashes for its content-addressed artifact
+/// cache, so "two requests collide in the cache" and "two requests are
+/// semantically identical" are one property by construction. Host-only knobs
 /// (PipelineOptions::LowerThreads and PassThreads — bit-identical output at
 /// any setting) and per-run instrumentation (MachineConfig::Trace and
 /// Profiler — observe without perturbing) are excluded from the key bytes.
@@ -130,8 +134,6 @@ struct RunRequest : MachineConfig {
   /// "how was this computed" as part of the artifact's identity rather
   /// than relying on that theorem at cache-lookup time.
   std::string keyBytes() const;
-  uint64_t key() const;
-  std::string keyHex() const;
 };
 
 /// FNV-1a 64-bit over \p Bytes — the content hash behind request keys.

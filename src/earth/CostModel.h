@@ -20,6 +20,10 @@
 /// The MANNA network moves 50 MB/s per direction, i.e. 160 ns per 8-byte
 /// word, which sets the per-word cost of larger block moves.
 ///
+/// The paper measures one machine, so the simulator runs one calibration:
+/// EarthMannaCosts. The struct documents its fields; nothing configures
+/// them per run.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EARTHCC_EARTH_COSTMODEL_H
@@ -73,6 +77,9 @@ struct CostModel {
     return BlkIssue + 2 * NetDelay + SUBlkService + PerWord * Words;
   }
 };
+
+/// The calibration every simulated run uses.
+inline constexpr CostModel EarthMannaCosts{};
 
 } // namespace earthcc
 

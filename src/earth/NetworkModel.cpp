@@ -5,7 +5,9 @@
 // Topology implementations. The routed models (bus, mesh2d, torus2d,
 // fattree) share one store-and-forward core: a transfer occupies each link
 // of its route in order, each link is a FIFO server in simulated time
-// (`FreeAt` clock), and occupancy is HopNs + Words * WordNs per link. Each
+// (`FreeAt` clock), and occupancy is HopNs + Words * WordNs per link (from
+// the machine's calibration: RoutedHopNs, or NetDelay for the bus, and
+// PerWord, halved per fat-tree level). Each
 // topology defines its routing once, as a walk that visits the route's
 // links in place: transferDone() applies a hop at every link it visits, and
 // route() collects the same walk for the conservation tests. A transfer
@@ -62,28 +64,6 @@ bool parseTopology(std::string_view V, Topology &Out) {
   return true;
 }
 
-const char *distributionName(Distribution D) {
-  switch (D) {
-  case Distribution::Cyclic:
-    return "cyclic";
-  case Distribution::Block:
-    return "block";
-  }
-  return "?";
-}
-
-const char *distributionChoices() { return "cyclic|block"; }
-
-bool parseDistribution(std::string_view V, Distribution &Out) {
-  if (V == "cyclic")
-    Out = Distribution::Cyclic;
-  else if (V == "block")
-    Out = Distribution::Block;
-  else
-    return false;
-  return true;
-}
-
 namespace {
 
 /// The paper's EARTH-MANNA abstraction: every crossing costs exactly
@@ -94,11 +74,11 @@ namespace {
 ///   DoneAt  = SuEnd + NetDelay
 class IdealNetwork final : public NetworkModel {
 public:
-  IdealNetwork(unsigned NumNodes, const CostModel &C)
-      : NetworkModel(Topology::Ideal, NumNodes, C) {}
+  explicit IdealNetwork(unsigned NumNodes)
+      : NetworkModel(Topology::Ideal, NumNodes) {}
 
   double transferDone(unsigned, unsigned, uint64_t, double IssueTime) override {
-    return IssueTime + Costs.NetDelay;
+    return IssueTime + EarthMannaCosts.NetDelay;
   }
 };
 
@@ -141,8 +121,8 @@ private:
 /// Shared store-and-forward state for every topology with real links.
 class RoutedNetwork : public NetworkModel {
 public:
-  RoutedNetwork(Topology Topo, unsigned NumNodes, const CostModel &C)
-      : NetworkModel(Topo, NumNodes, C),
+  RoutedNetwork(Topology Topo, unsigned NumNodes)
+      : NetworkModel(Topo, NumNodes),
         PairWords(size_t(NumNodes) * NumNodes, 0) {}
 
   std::vector<NetLinkStats> linkStats() const override {
@@ -232,13 +212,12 @@ public:
 };
 
 /// One shared medium: every remote transfer serializes through the same
-/// link. HopNs is the full NetDelay (one "hop" spans the machine), so an
+/// link. Its hop is the full NetDelay (one "hop" spans the machine), so an
 /// uncontended bus behaves exactly like the ideal network plus bandwidth.
 class BusNetwork final : public Routed<BusNetwork> {
 public:
-  BusNetwork(unsigned NumNodes, const CostModel &C, double WordNs)
-      : Routed(Topology::Bus, NumNodes, C) {
-    addLink("bus", C.NetDelay, WordNs);
+  explicit BusNetwork(unsigned NumNodes) : Routed(Topology::Bus, NumNodes) {
+    addLink("bus", EarthMannaCosts.NetDelay, EarthMannaCosts.PerWord);
   }
 
   template <typename Visit> void walk(unsigned, unsigned, Visit &&V) const {
@@ -253,9 +232,8 @@ public:
 /// every intermediate node inside the (possibly partial) grid.
 class GridNetwork final : public Routed<GridNetwork> {
 public:
-  GridNetwork(Topology Topo, unsigned NumNodes, const CostModel &C,
-              double HopNs, double WordNs)
-      : Routed(Topo, NumNodes, C), Wrap(Topo == Topology::Torus2D),
+  GridNetwork(Topology Topo, unsigned NumNodes)
+      : Routed(Topo, NumNodes), Wrap(Topo == Topology::Torus2D),
         Side(gridSide(NumNodes)), Rows((NumNodes + Side - 1) / Side) {
     // Directed link n -> m for every neighboring pair; the torus adds the
     // wraparound edges of each full-length ring (a 2-ring's wrap edge would
@@ -268,8 +246,8 @@ public:
       if (LinkAt[Key(A, B)] >= 0)
         return;
       LinkAt[Key(A, B)] = static_cast<int>(
-          addLink("n" + std::to_string(A) + "->" + std::to_string(B), HopNs,
-                  WordNs));
+          addLink("n" + std::to_string(A) + "->" + std::to_string(B),
+                  RoutedHopNs, EarthMannaCosts.PerWord));
     };
     for (unsigned N = 0; N != numNodes(); ++N) {
       unsigned X = N % Side, Y = N / Side;
@@ -361,24 +339,23 @@ private:
 
 /// Arity-4 fat tree: leaves are the nodes; the switch above leaf n at
 /// level l is n / 4^l. A transfer climbs up-links to the lowest common
-/// ancestor, then descends down-links. Each level's links halve WordNs
-/// (double the bandwidth) relative to the one below — the "fat" part.
+/// ancestor, then descends down-links. Each level's links halve the per-word
+/// cost (double the bandwidth) relative to the one below — the "fat" part.
 class FatTreeNetwork final : public Routed<FatTreeNetwork> {
 public:
-  FatTreeNetwork(unsigned NumNodes, const CostModel &C, double HopNs,
-                 double WordNs)
-      : Routed(Topology::FatTree, NumNodes, C) {
+  explicit FatTreeNetwork(unsigned NumNodes)
+      : Routed(Topology::FatTree, NumNodes) {
     unsigned Entities = NumNodes; // entities at the level below the switches
     for (unsigned Level = 1; Entities > 1; ++Level) {
-      double LevelWordNs = WordNs / double(1u << (Level - 1));
+      double LevelWordNs = EarthMannaCosts.PerWord / double(1u << (Level - 1));
       UpBase.push_back(static_cast<unsigned>(Links.size()));
       for (unsigned Child = 0; Child != Entities; ++Child)
         addLink("up" + std::to_string(Level) + "." + std::to_string(Child),
-                HopNs, LevelWordNs);
+                RoutedHopNs, LevelWordNs);
       DownBase.push_back(static_cast<unsigned>(Links.size()));
       for (unsigned Child = 0; Child != Entities; ++Child)
         addLink("dn" + std::to_string(Level) + "." + std::to_string(Child),
-                HopNs, LevelWordNs);
+                RoutedHopNs, LevelWordNs);
       Entities = (Entities + 3) / 4;
     }
   }
@@ -403,24 +380,19 @@ private:
 } // namespace
 
 std::unique_ptr<NetworkModel> createNetworkModel(Topology Topo,
-                                                 unsigned NumNodes,
-                                                 const CostModel &Costs,
-                                                 double HopNs,
-                                                 double LinkWordNs) {
+                                                 unsigned NumNodes) {
   switch (Topo) {
   case Topology::Ideal:
-    return std::make_unique<IdealNetwork>(NumNodes, Costs);
+    return std::make_unique<IdealNetwork>(NumNodes);
   case Topology::Bus:
-    return std::make_unique<BusNetwork>(NumNodes, Costs, LinkWordNs);
+    return std::make_unique<BusNetwork>(NumNodes);
   case Topology::Mesh2D:
   case Topology::Torus2D:
-    return std::make_unique<GridNetwork>(Topo, NumNodes, Costs, HopNs,
-                                         LinkWordNs);
+    return std::make_unique<GridNetwork>(Topo, NumNodes);
   case Topology::FatTree:
-    return std::make_unique<FatTreeNetwork>(NumNodes, Costs, HopNs,
-                                            LinkWordNs);
+    return std::make_unique<FatTreeNetwork>(NumNodes);
   }
-  return std::make_unique<IdealNetwork>(NumNodes, Costs);
+  return std::make_unique<IdealNetwork>(NumNodes);
 }
 
 } // namespace earthcc

@@ -18,8 +18,10 @@
 //   torus2d  — mesh2d with wraparound rings (shortest direction).
 //   fattree  — arity-4 tree whose uplinks double in bandwidth per level.
 //
-// Unlike the engine knob, topology and distribution CHANGE simulated
-// results, so both are request-key material (driver/Request.cpp).
+// Every link runs on the machine's one calibration (earth/CostModel.h): a
+// routed hop costs RoutedHopNs and a word costs PerWord, the bus crossing
+// costs NetDelay. Unlike the engine knob, the topology CHANGES simulated
+// results, so it is request-key material (driver/Request.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,10 +42,6 @@ namespace earthcc {
 /// Interconnect shape of the simulated machine.
 enum class Topology { Ideal, Bus, Mesh2D, Torus2D, FatTree };
 
-/// How logical placement indices (`@node expr`, pmalloc@node) map onto
-/// physical nodes. Cyclic is the historical `index % nodes` mapping.
-enum class Distribution { Cyclic, Block };
-
 /// Hard ceiling on --nodes: keeps per-pair matrices and link tables at a
 /// sane size (1024 nodes = 8 MiB of pair counters) and turns typo-sized
 /// requests into a diagnostic instead of an allocation storm.
@@ -53,19 +51,9 @@ const char *topologyName(Topology T);
 const char *topologyChoices(); // "ideal|bus|mesh2d|torus2d|fattree"
 bool parseTopology(std::string_view V, Topology &Out);
 
-const char *distributionName(Distribution D);
-const char *distributionChoices(); // "cyclic|block"
-bool parseDistribution(std::string_view V, Distribution &Out);
-
-/// Maps a logical placement index onto a physical node under \p D. Both
-/// engines' `@node` handling routes through this (the single place the
-/// distribution knob is interpreted).
-inline unsigned placeIndex(uint64_t Idx, unsigned NumNodes, Distribution D,
-                           unsigned BlockSize) {
-  if (D == Distribution::Block)
-    return static_cast<unsigned>((Idx / std::max(1u, BlockSize)) % NumNodes);
-  return static_cast<unsigned>(Idx % NumNodes);
-}
+/// Per-hop link latency of the routed topologies (mesh2d, torus2d, fattree)
+/// in simulated ns; the bus charges a full NetDelay per crossing instead.
+inline constexpr double RoutedHopNs = 450.0;
 
 /// Timing of one split-phase SU transaction as computed by
 /// NetworkModel::transaction().
@@ -101,7 +89,7 @@ public:
                              uint64_t FwdWords, uint64_t BackWords) {
     double Arrival = transferDone(From, To, FwdWords, IssueEnd);
     double SuStart = std::max(SUClock[To], Arrival);
-    double SuEnd = SuStart + Service + Costs.PerWord * ExtraWords;
+    double SuEnd = SuStart + Service + EarthMannaCosts.PerWord * ExtraWords;
     SUClock[To] = SuEnd;
     double DoneAt = transferDone(To, From, BackWords, SuEnd);
     return {SuStart, SuEnd, DoneAt};
@@ -127,23 +115,16 @@ public:
   }
 
 protected:
-  NetworkModel(Topology Topo, unsigned NumNodes, const CostModel &Costs)
-      : Topo(Topo), Costs(Costs), SUClock(NumNodes, 0.0) {}
+  NetworkModel(Topology Topo, unsigned NumNodes)
+      : Topo(Topo), SUClock(NumNodes, 0.0) {}
 
   Topology Topo;
-  CostModel Costs;
   std::vector<double> SUClock; ///< Per-node SU FIFO clock (simulated ns).
 };
 
-/// Builds the model for \p Topo over \p NumNodes nodes. \p HopNs is the
-/// per-hop link latency of the routed topologies (bus uses NetDelay for its
-/// single hop so a 1-node-to-1-node bus degenerates sensibly); \p LinkWordNs
-/// is the per-word link occupancy (bandwidth term) of every non-ideal link.
+/// Builds the model for \p Topo over \p NumNodes nodes.
 std::unique_ptr<NetworkModel> createNetworkModel(Topology Topo,
-                                                 unsigned NumNodes,
-                                                 const CostModel &Costs,
-                                                 double HopNs,
-                                                 double LinkWordNs);
+                                                 unsigned NumNodes);
 
 } // namespace earthcc
 

@@ -11,7 +11,8 @@
 /// operation counters, and machine configuration. Timing lives in the
 /// machine both engines run on (interp/Machine.h: EU clocks, the event
 /// queue, operation costs) and in earth/NetworkModel.h (SU clocks, links);
-/// this file is pure state.
+/// this file is pure state. The machine's costs are not configuration: every
+/// run uses the one calibration in earth/CostModel.h (EarthMannaCosts).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,32 +149,17 @@ enum class ExecEngine { AST, Bytecode };
 /// Machine configuration.
 struct MachineConfig {
   unsigned NumNodes = 1;
-  CostModel Costs;
   /// Interconnect topology (see earth/NetworkModel.h). Ideal is the paper's
   /// constant-latency EARTH-MANNA network and the default. Unlike the
   /// Engine knob this CHANGES simulated results, so it is request-key
   /// material in driver/Request.cpp.
   Topology Topo = Topology::Ideal;
-  /// Logical-index -> node mapping for `@node expr` placement (cyclic is
-  /// the historical `index % nodes`). Changes simulated results; keyed.
-  Distribution Dist = Distribution::Cyclic;
-  /// Per-hop link latency of the routed topologies, in simulated ns
-  /// (mesh2d/torus2d/fattree; the bus charges a full NetDelay per crossing).
-  double NetHopNs = 450.0;
-  /// Per-word link occupancy (bandwidth term) of non-ideal links, in
-  /// simulated ns per payload word.
-  double NetLinkWordNs = 160.0;
-  /// Indices per block for Distribution::Block.
-  unsigned DistBlockSize = 8;
   /// Execution engine selection (see ExecEngine). Purely a host-performance
   /// choice; simulated results do not depend on it.
   ExecEngine Engine = ExecEngine::Bytecode;
   /// Sequential mode: every access is a plain local access (no EARTH
   /// primitives at all) — the paper's "Sequential C" baseline.
   bool SequentialMode = false;
-  /// Permit split-phase reads of the null address (returning zero) so that
-  /// speculatively hoisted reads do not fault.
-  bool AllowNullReads = false;
   uint64_t MaxSteps = 500'000'000; ///< Interpreter fuel.
   /// EU scheduling quantum in interpreter steps. EARTH threads are fine
   /// grained (split at every remote operation), so a coarse fiber must not

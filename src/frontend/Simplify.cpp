@@ -564,6 +564,16 @@ private:
     return Into && Into->type() == Ty ? Into : F->addTemp(Ty);
   }
 
+  /// Lowers \p E as a value of type \p To, converting at \p Loc. A pmalloc
+  /// bound for a pointer takes that pointer's type, landing in a fresh temp
+  /// as `t = pmalloc(n)` would.
+  Operand lowerAs(const Expr &E, const Type *To, SourceLoc Loc) {
+    auto [O, Ty] = E.K == Expr::Kind::Call && To && To->isPointer()
+                       ? lowerCall(E, nullptr, To)
+                       : lowerExpr(E);
+    return coerce(O, Ty, To, Loc);
+  }
+
   /// Emits the load for a resolved access path at \p Loc (at \p At when it
   /// lands in \p Into, see lowerExpr); returns value operand.
   std::pair<Operand, const Type *> loadPath(const AccessPath &P, SourceLoc Loc,
@@ -662,27 +672,34 @@ private:
   // Calls and intrinsics.
   //===--------------------------------------------------------------------===
 
-  static Intrinsic intrinsicByName(const std::string &Name) {
-    if (Name == "pmalloc")
-      return Intrinsic::PMalloc;
-    if (Name == "print")
-      return Intrinsic::Print;
-    if (Name == "my_node")
-      return Intrinsic::MyNode;
-    if (Name == "num_nodes")
-      return Intrinsic::NumNodes;
-    if (Name == "isqrt")
-      return Intrinsic::IntSqrt;
-    if (Name == "sqrt")
-      return Intrinsic::Sqrt;
-    if (Name == "fabs")
-      return Intrinsic::Fabs;
-    return Intrinsic::None;
+  /// An intrinsic, its argument count, and what its arity error adds.
+  struct IntrinsicInfo {
+    const char *Name;
+    Intrinsic K;
+    unsigned NumArgs;
+    const char *ArgsHint;
+  };
+
+  static const IntrinsicInfo *intrinsicByName(const std::string &Name) {
+    static constexpr IntrinsicInfo Table[] = {
+        {"pmalloc", Intrinsic::PMalloc, 1, " (size in words)"},
+        {"print", Intrinsic::Print, 1, ""},
+        {"my_node", Intrinsic::MyNode, 0, ""},
+        {"num_nodes", Intrinsic::NumNodes, 0, ""},
+        {"isqrt", Intrinsic::IntSqrt, 1, ""},
+        {"sqrt", Intrinsic::Sqrt, 1, ""},
+        {"fabs", Intrinsic::Fabs, 1, ""},
+    };
+    for (const IntrinsicInfo &I : Table)
+      if (Name == I.Name)
+        return &I;
+    return nullptr;
   }
 
-  /// Lowers a call expression; a result of \p Into's type lands in Into,
-  /// and pmalloc's pointer type is Into's.
-  std::pair<Operand, const Type *> lowerCall(const Expr &E, Var *Into) {
+  /// Lowers a call expression; a result of \p Into's type lands in Into.
+  /// pmalloc's pointer type is Into's, else \p AllocTy when given.
+  std::pair<Operand, const Type *> lowerCall(const Expr &E, Var *Into,
+                                             const Type *AllocTy = nullptr) {
     // Atomic intrinsics on shared variables.
     if (E.Name == "writeto" || E.Name == "addto" || E.Name == "valueof")
       return lowerAtomic(E);
@@ -713,9 +730,8 @@ private:
     }
     }
 
-    Intrinsic Intrin = intrinsicByName(E.Name);
-    if (Intrin != Intrinsic::None)
-      return lowerIntrinsic(E, Intrin, Into, Placement, PlaceArg);
+    if (const IntrinsicInfo *Intrin = intrinsicByName(E.Name))
+      return lowerIntrinsic(E, *Intrin, Into, AllocTy, Placement, PlaceArg);
 
     earthcc::Function *Callee = M->findFunction(E.Name);
     if (!Callee) {
@@ -727,11 +743,9 @@ private:
       return {Operand::intConst(0), Callee->returnType()};
     }
     std::vector<Operand> Args;
-    for (size_t I = 0; I != E.Args.size(); ++I) {
-      auto [O, Ty] = lowerExpr(*E.Args[I]);
-      Args.push_back(coerce(O, Ty, Callee->params()[I]->type(),
-                            E.Args[I]->Loc));
-    }
+    for (size_t I = 0; I != E.Args.size(); ++I)
+      Args.push_back(lowerAs(*E.Args[I], Callee->params()[I]->type(),
+                             E.Args[I]->Loc));
     const Type *RetTy = Callee->returnType();
     Var *Result = RetTy->isVoid() ? nullptr : resultVar(Into, RetTy);
     auto *CS = emit<CallStmt>(Result, E.Name, std::move(Args));
@@ -744,30 +758,37 @@ private:
     return {Operand::var(Result), RetTy};
   }
 
+  /// Lowers a call of intrinsic \p Intrin after checking its argument
+  /// count; \p Into and \p AllocTy are as for lowerCall.
   std::pair<Operand, const Type *>
-  lowerIntrinsic(const Expr &E, Intrinsic Intrin, Var *Into,
-                 CallPlacement Placement, Operand PlaceArg) {
+  lowerIntrinsic(const Expr &E, const IntrinsicInfo &Intrin, Var *Into,
+                 const Type *AllocTy, CallPlacement Placement,
+                 Operand PlaceArg) {
     const Type *IntTy = M->types().intTy();
     const Type *DblTy = M->types().doubleTy();
 
+    if (E.Args.size() != Intrin.NumArgs) {
+      const char *Count = Intrin.NumArgs ? "one argument" : "no arguments";
+      Diags.error(E.Loc, std::string(Intrin.Name) + " takes " + Count +
+                             Intrin.ArgsHint);
+      return {Operand::intConst(0), IntTy};
+    }
+
     auto makeCall = [&](Var *Result, std::vector<Operand> Args) -> CallStmt * {
       auto *CS = emit<CallStmt>(Result, E.Name, std::move(Args));
-      CS->Intrin = Intrin;
+      CS->Intrin = Intrin.K;
       CS->Placement = Placement;
       CS->PlacementArg = PlaceArg;
       CS->setLoc(E.Loc);
       return CS;
     };
 
-    switch (Intrin) {
+    switch (Intrin.K) {
     case Intrinsic::PMalloc: {
-      if (E.Args.size() != 1) {
-        Diags.error(E.Loc, "pmalloc takes one argument (size in words)");
-        return {Operand::intConst(0), IntTy};
-      }
-      auto [O, Ty] = lowerExpr(*E.Args[0]);
-      O = coerce(O, Ty, IntTy, E.Loc);
-      const Type *ResTy = Into ? Into->type() : M->types().pointerTo(IntTy);
+      Operand O = lowerAs(*E.Args[0], IntTy, E.Loc);
+      const Type *ResTy = Into      ? Into->type()
+                          : AllocTy ? AllocTy
+                                    : M->types().pointerTo(IntTy);
       if (!ResTy->isPointer()) {
         Diags.error(E.Loc, "pmalloc result must be assigned to a pointer");
         return {Operand::intConst(0), ResTy};
@@ -777,10 +798,6 @@ private:
       return {Operand::var(Result), ResTy};
     }
     case Intrinsic::Print: {
-      if (E.Args.size() != 1) {
-        Diags.error(E.Loc, "print takes one argument");
-        return {Operand::intConst(0), IntTy};
-      }
       auto [O, Ty] = lowerExpr(*E.Args[0]);
       (void)Ty;
       makeCall(nullptr, {O});
@@ -793,16 +810,14 @@ private:
       return {Operand::var(Result), IntTy};
     }
     case Intrinsic::IntSqrt: {
-      auto [O, Ty] = lowerExpr(*E.Args.at(0));
-      O = coerce(O, Ty, IntTy, E.Loc);
+      Operand O = lowerAs(*E.Args[0], IntTy, E.Loc);
       Var *Result = resultVar(Into, IntTy);
       makeCall(Result, {O});
       return {Operand::var(Result), IntTy};
     }
     case Intrinsic::Sqrt:
     case Intrinsic::Fabs: {
-      auto [O, Ty] = lowerExpr(*E.Args.at(0));
-      O = coerce(O, Ty, DblTy, E.Loc);
+      Operand O = lowerAs(*E.Args[0], DblTy, E.Loc);
       Var *Result = resultVar(Into, DblTy);
       makeCall(Result, {O});
       return {Operand::var(Result), DblTy};
@@ -849,10 +864,9 @@ private:
       return {Operand::intConst(0), IntTy};
     }
     Var *S = sharedArg(*E.Args[0]);
-    auto [O, Ty] = lowerExpr(*E.Args[1]);
+    Operand O = lowerAs(*E.Args[1], S ? S->type() : nullptr, E.Loc);
     if (!S)
       return {Operand::intConst(0), IntTy};
-    O = coerce(O, Ty, S->type(), E.Loc);
     AtomicOp Op = E.Name == "writeto" ? AtomicOp::WriteTo : AtomicOp::AddTo;
     auto *A = emit<AtomicStmt>(Op, S, O, nullptr);
     A->setLoc(E.Loc);
@@ -947,8 +961,7 @@ private:
         emit<ReturnStmt>()->setLoc(S.Loc);
         return;
       }
-      auto [O, Ty] = lowerExpr(*S.Lhs);
-      O = coerce(O, Ty, F->returnType(), S.Loc);
+      Operand O = lowerAs(*S.Lhs, F->returnType(), S.Loc);
       emit<ReturnStmt>(std::optional<Operand>(O))->setLoc(S.Loc);
       return;
     }
@@ -1003,8 +1016,7 @@ private:
         Diags.error(S.Loc, "whole-struct assignment is not supported");
         return;
       }
-      auto [O, Ty] = lowerExpr(*S.Rhs);
-      O = coerce(O, Ty, P->Ty, S.Loc);
+      Operand O = lowerAs(*S.Rhs, P->Ty, S.Loc);
       emit<AssignStmt>(
           LValue::makeFieldWrite(P->Base, P->OffsetWords, P->FieldName),
           std::make_unique<OpndRV>(O))
@@ -1016,8 +1028,7 @@ private:
         Diags.error(S.Loc, "whole-struct stores are not supported");
         return;
       }
-      auto [O, Ty] = lowerExpr(*S.Rhs);
-      O = coerce(O, Ty, P->Ty, S.Loc);
+      Operand O = lowerAs(*S.Rhs, P->Ty, S.Loc);
       emit<AssignStmt>(LValue::makeStore(P->Base, P->OffsetWords,
                                          P->FieldName, localityOf(P->Base)),
                        std::make_unique<OpndRV>(O))
@@ -1128,8 +1139,7 @@ private:
   }
 
   void lowerSwitch(const ast::Stmt &S) {
-    auto [O, Ty] = lowerExpr(*S.Cond);
-    O = coerce(O, Ty, M->types().intTy(), S.Loc);
+    Operand O = lowerAs(*S.Cond, M->types().intTy(), S.Loc);
     auto Switch = std::make_unique<SwitchStmt>(O);
     Switch->setLoc(S.Loc);
     Switch->Default = std::make_unique<SeqStmt>();

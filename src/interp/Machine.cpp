@@ -16,8 +16,7 @@ using namespace earthcc::interp;
 Machine::Machine(const MachineConfig &Cfg)
     : Cfg(Cfg), Trc(Cfg.Trace), Prof(Cfg.Profiler),
       Mem(std::max(1u, Cfg.nodes())),
-      Net(createNetworkModel(Cfg.Topo, Mem.numNodes(), Cfg.Costs,
-                             Cfg.NetHopNs, Cfg.NetLinkWordNs)),
+      Net(createNetworkModel(Cfg.Topo, Mem.numNodes())),
       EUClock(Mem.numNodes(), 0.0), LastFiber(Mem.numNodes(), nullptr) {}
 
 Machine::~Machine() = default;

@@ -84,7 +84,7 @@ protected:
   explicit Machine(const MachineConfig &Cfg);
   ~Machine();
 
-  const CostModel &cost() const { return Cfg.Costs; }
+  static const CostModel &cost() { return EarthMannaCosts; }
 
   //===--------------------------------------------------------------------===
   // Scheduling.
@@ -214,15 +214,9 @@ protected:
   void load(double &Now, const MachineFrame &Fr, GlobalAddr Addr,
             uint32_t Off, Locality Loc, int32_t Site, const Var *Base,
             const Function *Fn, RtValue &Dst, double &DstAvail) {
-    if (Addr.isNull()) {
-      if (!Cfg.AllowNullReads)
-        fail("null pointer read via '" + Base->name() + "' in '" +
-             Fn->name() + "'");
-      Now += cost().ReadIssue;
-      Dst = RtValue::makeInt(0);
-      DstAvail = Now;
-      return;
-    }
+    if (Addr.isNull())
+      fail("null pointer read via '" + Base->name() + "' in '" + Fn->name() +
+           "'");
     Addr.Offset += Off;
     if (!Mem.valid(Addr))
       fail("out-of-bounds read at " + Addr.str());
@@ -244,7 +238,7 @@ protected:
         traceInstant("local-fallback", "comm", Now, Fr.Node, TraceTidEU,
                      {{"op", "read-data"}});
       if (Prof)
-        Prof->recordLocal(Site, CommOpKind::Read, Fr.Node, 1);
+        Prof->recordLocal(Site);
       Now += cost().LocalFallback;
       Dst = Mem.word(Addr);
       DstAvail = Now;
@@ -262,8 +256,7 @@ protected:
                 Fr.Node, TraceTidComm,
                 {{"to", Addr.Node}, {"addr", Addr.str()}});
     if (Prof)
-      Prof->record(Site, CommOpKind::Read, Fr.Node, Addr.Node, 1, IssueStart,
-                   DoneAt);
+      Prof->record(Site, Fr.Node, Addr.Node, 1, IssueStart, DoneAt);
     Dst = Mem.word(Addr);
     DstAvail = DoneAt;
   }
@@ -292,7 +285,7 @@ protected:
         traceInstant("local-fallback", "comm", Now, Fr.Node, TraceTidEU,
                      {{"op", "write-data"}});
       if (Prof)
-        Prof->recordLocal(Site, CommOpKind::Write, Fr.Node, 1);
+        Prof->recordLocal(Site);
       Now += cost().LocalFallback;
       Mem.word(Addr) = Val;
       return;
@@ -309,8 +302,7 @@ protected:
                 Fr.Node, TraceTidComm,
                 {{"to", Addr.Node}, {"addr", Addr.str()}});
     if (Prof)
-      Prof->record(Site, CommOpKind::Write, Fr.Node, Addr.Node, 1, IssueStart,
-                   DoneAt);
+      Prof->record(Site, Fr.Node, Addr.Node, 1, IssueStart, DoneAt);
     Mem.word(Addr) = Val;
     Fr.WriteSync = std::max(Fr.WriteSync, DoneAt);
   }
@@ -353,7 +345,7 @@ protected:
         traceInstant("local-fallback", "comm", Now, Fr.Node, TraceTidEU,
                      {{"op", "blkmov"}, {"words", Words}});
       if (Prof)
-        Prof->recordLocal(Site, CommOpKind::BlkMov, Fr.Node, Words);
+        Prof->recordLocal(Site);
       Now += cost().LocalFallback + cost().LocalBlkPerWord * Words;
       copyWords();
       if (Read)
@@ -376,8 +368,7 @@ protected:
                  {"words", Words},
                  {"dir", Read ? "read" : "write"}});
     if (Prof)
-      Prof->record(Site, CommOpKind::BlkMov, Fr.Node, Addr.Node, Words,
-                   IssueStart, DoneAt);
+      Prof->record(Site, Fr.Node, Addr.Node, Words, IssueStart, DoneAt);
     copyWords();
     if (Read)
       LocalAvail = DoneAt;
@@ -435,11 +426,8 @@ protected:
       int64_t N = PlaceArg().asInt();
       if (N < 0)
         fail("@node with negative index");
-      // Logical index -> node through the pluggable distribution
-      // (earth/NetworkModel.h placeIndex; cyclic is the historical
-      // `index % nodes`).
-      return placeIndex(static_cast<uint64_t>(N), Mem.numNodes(), Cfg.Dist,
-                        Cfg.DistBlockSize);
+      return static_cast<unsigned>(static_cast<uint64_t>(N) %
+                                   Mem.numNodes());
     }
     case CallPlacement::OwnerOf: {
       RtValue V = PlaceArg();
@@ -687,7 +675,7 @@ private:
       ++Ctr.Atomic; // A plain variable access in the sequential program.
     if (Cfg.SequentialMode || Addr.Node == static_cast<int32_t>(Fr.Node)) {
       if (Prof && !Cfg.SequentialMode)
-        Prof->recordLocal(Site, CommOpKind::Atomic, Fr.Node, 0);
+        Prof->recordLocal(Site);
       Now += Cfg.SequentialMode ? cost().StmtCost : cost().LocalFallback;
       return Now;
     }
@@ -701,8 +689,7 @@ private:
       traceSpan("atomic", "comm", IssueStart, DoneAt - IssueStart, Fr.Node,
                 TraceTidComm, {{"to", Addr.Node}, {"var", Shared->name()}});
     if (Prof)
-      Prof->record(Site, CommOpKind::Atomic, Fr.Node, Addr.Node, 0,
-                   IssueStart, DoneAt);
+      Prof->record(Site, Fr.Node, Addr.Node, 0, IssueStart, DoneAt);
     if (WriteSync)
       *WriteSync = std::max(*WriteSync, DoneAt);
     return DoneAt;

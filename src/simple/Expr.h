@@ -69,9 +69,6 @@ public:
   virtual ~RValue();
   RValueKind kind() const { return Kind; }
 
-  /// Deep copy.
-  virtual std::unique_ptr<RValue> clone() const = 0;
-
 protected:
   explicit RValue(RValueKind Kind) : Kind(Kind) {}
 
@@ -85,9 +82,6 @@ public:
   explicit OpndRV(Operand Val) : RValue(RValueKind::Opnd), Val(Val) {}
   Operand Val;
 
-  std::unique_ptr<RValue> clone() const override {
-    return std::make_unique<OpndRV>(Val);
-  }
   static bool classof(const RValue *R) {
     return R->kind() == RValueKind::Opnd;
   }
@@ -101,9 +95,6 @@ public:
   UnaryOp Op;
   Operand Val;
 
-  std::unique_ptr<RValue> clone() const override {
-    return std::make_unique<UnaryRV>(Op, Val);
-  }
   static bool classof(const RValue *R) {
     return R->kind() == RValueKind::Unary;
   }
@@ -118,9 +109,6 @@ public:
   Operand A;
   Operand B;
 
-  std::unique_ptr<RValue> clone() const override {
-    return std::make_unique<BinaryRV>(Op, A, B);
-  }
   static bool classof(const RValue *R) {
     return R->kind() == RValueKind::Binary;
   }
@@ -144,10 +132,6 @@ public:
 
   bool isRemote() const { return Loc != Locality::Local; }
 
-  std::unique_ptr<RValue> clone() const override {
-    return std::make_unique<LoadRV>(Base, OffsetWords, FieldName, ValueTy,
-                                    Loc);
-  }
   static bool classof(const RValue *R) {
     return R->kind() == RValueKind::Load;
   }
@@ -168,10 +152,6 @@ public:
   std::string FieldName;
   const Type *ValueTy;
 
-  std::unique_ptr<RValue> clone() const override {
-    return std::make_unique<FieldReadRV>(StructVar, OffsetWords, FieldName,
-                                         ValueTy);
-  }
   static bool classof(const RValue *R) {
     return R->kind() == RValueKind::FieldRead;
   }
@@ -190,10 +170,6 @@ public:
   std::string FieldName;
   const Type *ResultTy;
 
-  std::unique_ptr<RValue> clone() const override {
-    return std::make_unique<AddrOfFieldRV>(Base, OffsetWords, FieldName,
-                                           ResultTy);
-  }
   static bool classof(const RValue *R) {
     return R->kind() == RValueKind::AddrOfField;
   }

@@ -27,15 +27,6 @@ std::unique_ptr<RValue> IRBuilder::load(const Var *Base,
                                   Loc);
 }
 
-std::unique_ptr<RValue> IRBuilder::deref(const Var *Base) {
-  assert(Base->type()->isPointer() && "deref of non-pointer");
-  const Type *Pointee = Base->type()->pointee();
-  assert(Pointee->isScalar() && "deref of non-scalar pointee");
-  Locality Loc =
-      Base->type()->isLocalPointer() ? Locality::Local : Locality::Remote;
-  return std::make_unique<LoadRV>(Base, 0, "", Pointee, Loc);
-}
-
 AssignStmt *IRBuilder::assign(const Var *Target, std::unique_ptr<RValue> R) {
   auto S = std::make_unique<AssignStmt>(LValue::makeVar(Target), std::move(R));
   return static_cast<AssignStmt *>(insert(std::move(S)));
@@ -64,25 +55,6 @@ CallStmt *IRBuilder::call(const Var *Result, const std::string &Callee,
 ReturnStmt *IRBuilder::ret(std::optional<Operand> Val) {
   return static_cast<ReturnStmt *>(
       insert(std::make_unique<ReturnStmt>(Val)));
-}
-
-IfStmt *IRBuilder::beginIf(std::unique_ptr<RValue> Cond) {
-  auto S = std::make_unique<IfStmt>(std::move(Cond),
-                                    std::make_unique<SeqStmt>(),
-                                    std::make_unique<SeqStmt>());
-  auto *If = static_cast<IfStmt *>(insert(std::move(S)));
-  SeqStack.push_back(If->Then.get());
-  return If;
-}
-
-void IRBuilder::elsePart(IfStmt *If) {
-  assert(SeqStack.back() == If->Then.get() && "mismatched elsePart");
-  SeqStack.back() = If->Else.get();
-}
-
-void IRBuilder::endIf() {
-  assert(SeqStack.size() > 1 && "endIf without beginIf");
-  SeqStack.pop_back();
 }
 
 WhileStmt *IRBuilder::beginWhile(std::unique_ptr<RValue> Cond,

@@ -25,9 +25,9 @@ namespace earthcc {
 /// \code
 ///   IRBuilder B(M, F);
 ///   B.assign(X, B.load(P, "x"));
-///   auto *If = B.beginIf(B.cmp(BinaryOp::Lt, X, Operand::intConst(3)));
-///   ... build then-part ...
-///   B.elsePart(If); ... B.endIf();
+///   B.beginWhile(B.cmp(BinaryOp::Lt, X, Operand::intConst(3)));
+///   ... build the body ...
+///   B.endWhile();
 /// \endcode
 class IRBuilder {
 public:
@@ -61,9 +61,6 @@ public:
   /// struct. Locality defaults to Remote unless Base is a `local` pointer.
   std::unique_ptr<RValue> load(const Var *Base, const std::string &Field);
 
-  /// Builds `*Base` for a scalar pointee.
-  std::unique_ptr<RValue> deref(const Var *Base);
-
   //===--------------------------------------------------------------------===
   // Statement insertion.
   //===--------------------------------------------------------------------===
@@ -86,10 +83,6 @@ public:
   //===--------------------------------------------------------------------===
   // Compound statements: begin/end pairs manage the insertion stack.
   //===--------------------------------------------------------------------===
-
-  IfStmt *beginIf(std::unique_ptr<RValue> Cond);
-  void elsePart(IfStmt *If);
-  void endIf();
 
   WhileStmt *beginWhile(std::unique_ptr<RValue> Cond, bool IsDoWhile = false);
   void endWhile();

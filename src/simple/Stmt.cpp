@@ -131,80 +131,3 @@ void earthcc::forEachStmt(const Stmt &S,
   forEachStmt(const_cast<Stmt &>(S), [&Fn](Stmt &T) { Fn(T); });
 }
 
-static std::unique_ptr<SeqStmt> cloneSeq(const SeqStmt &Seq) {
-  auto Out = std::make_unique<SeqStmt>(Seq.Parallel);
-  Out->setLabel(Seq.label());
-  Out->setLoc(Seq.loc());
-  for (const auto &Child : Seq.Stmts)
-    Out->push(cloneStmt(*Child));
-  return Out;
-}
-
-StmtPtr earthcc::cloneStmt(const Stmt &S) {
-  StmtPtr Out;
-  switch (S.kind()) {
-  case StmtKind::Seq:
-    Out = cloneSeq(castStmt<SeqStmt>(S));
-    break;
-  case StmtKind::Assign: {
-    const auto &A = castStmt<AssignStmt>(S);
-    Out = std::make_unique<AssignStmt>(A.L, A.R->clone());
-    break;
-  }
-  case StmtKind::Call: {
-    const auto &C = castStmt<CallStmt>(S);
-    auto NewC = std::make_unique<CallStmt>(C.Result, C.CalleeName, C.Args);
-    NewC->Callee = C.Callee;
-    NewC->Intrin = C.Intrin;
-    NewC->Placement = C.Placement;
-    NewC->PlacementArg = C.PlacementArg;
-    Out = std::move(NewC);
-    break;
-  }
-  case StmtKind::Return: {
-    const auto &R = castStmt<ReturnStmt>(S);
-    Out = std::make_unique<ReturnStmt>(R.Val);
-    break;
-  }
-  case StmtKind::BlkMov: {
-    const auto &B = castStmt<BlkMovStmt>(S);
-    Out = std::make_unique<BlkMovStmt>(B.Dir, B.Ptr, B.LocalStruct, B.Words);
-    break;
-  }
-  case StmtKind::Atomic: {
-    const auto &A = castStmt<AtomicStmt>(S);
-    Out = std::make_unique<AtomicStmt>(A.Op, A.SharedVar, A.Val, A.Result);
-    break;
-  }
-  case StmtKind::If: {
-    const auto &If = castStmt<IfStmt>(S);
-    Out = std::make_unique<IfStmt>(If.Cond->clone(), cloneSeq(*If.Then),
-                                   cloneSeq(*If.Else));
-    break;
-  }
-  case StmtKind::Switch: {
-    const auto &Sw = castStmt<SwitchStmt>(S);
-    auto NewSw = std::make_unique<SwitchStmt>(Sw.Val);
-    for (const auto &C : Sw.Cases)
-      NewSw->Cases.push_back({C.Value, cloneSeq(*C.Body)});
-    NewSw->Default = cloneSeq(*Sw.Default);
-    Out = std::move(NewSw);
-    break;
-  }
-  case StmtKind::While: {
-    const auto &W = castStmt<WhileStmt>(S);
-    Out = std::make_unique<WhileStmt>(W.Cond->clone(), cloneSeq(*W.Body),
-                                      W.IsDoWhile);
-    break;
-  }
-  case StmtKind::Forall: {
-    const auto &F = castStmt<ForallStmt>(S);
-    Out = std::make_unique<ForallStmt>(cloneSeq(*F.Init), F.Cond->clone(),
-                                       cloneSeq(*F.Step), cloneSeq(*F.Body));
-    break;
-  }
-  }
-  Out->setLabel(S.label());
-  Out->setLoc(S.loc());
-  return Out;
-}

@@ -303,9 +303,6 @@ void forEachChildSeq(Stmt &S, const std::function<void(SeqStmt &)> &Fn);
 void forEachChildSeq(const Stmt &S,
                      const std::function<void(const SeqStmt &)> &Fn);
 
-/// Deep-clones a statement tree (variable pointers are shared, not cloned).
-StmtPtr cloneStmt(const Stmt &S);
-
 } // namespace earthcc
 
 #endif // EARTHCC_SIMPLE_STMT_H

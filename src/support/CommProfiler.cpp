@@ -10,20 +10,6 @@
 
 namespace earthcc {
 
-const char *commOpKindName(CommOpKind K) {
-  switch (K) {
-  case CommOpKind::Read:
-    return "read";
-  case CommOpKind::Write:
-    return "write";
-  case CommOpKind::BlkMov:
-    return "blkmov";
-  case CommOpKind::Atomic:
-    return "atomic";
-  }
-  return "?";
-}
-
 void SiteProfile::recordLatency(uint64_t Ns) {
   if (LatHist.empty())
     LatHist.assign(NumBuckets, 0);
@@ -49,8 +35,6 @@ void CommProfiler::beginRun(unsigned Sites_, unsigned Nodes) {
   NumSites = Sites_;
   NumNodes = Nodes;
   Sites.assign(NumSites, SiteProfile());
-  SiteOps.assign(NumSites, CommOpKind::Read);
-  TrafficMsgs.assign(size_t(NumNodes) * NumNodes, 0);
   TrafficWords.assign(size_t(NumNodes) * NumNodes, 0);
   NetTopology.clear();
   NetLinks.clear();
@@ -68,31 +52,23 @@ void CommProfiler::setNetwork(std::string TopologyName,
   NetEndTimeNs = EndTimeNs;
 }
 
-void CommProfiler::record(int32_t Site, CommOpKind Op, unsigned From,
-                          unsigned To, uint64_t Words, double IssueStartNs,
-                          double DoneNs) {
+void CommProfiler::record(int32_t Site, unsigned From, unsigned To,
+                          uint64_t Words, double IssueStartNs, double DoneNs) {
   if (Site < 0 || static_cast<unsigned>(Site) >= NumSites)
     return;
   SiteProfile &P = Sites[Site];
-  SiteOps[Site] = Op;
   ++P.Msgs;
   P.Words += Words;
   double Lat = DoneNs - IssueStartNs;
   P.LatSumNs += Lat;
   P.recordLatency(Lat <= 0 ? 0 : static_cast<uint64_t>(Lat));
-  if (From < NumNodes && To < NumNodes) {
-    ++TrafficMsgs[From * NumNodes + To];
+  if (From < NumNodes && To < NumNodes)
     TrafficWords[From * NumNodes + To] += Words;
-  }
 }
 
-void CommProfiler::recordLocal(int32_t Site, CommOpKind Op, unsigned Node,
-                               uint64_t Words) {
-  (void)Node;
-  (void)Words;
+void CommProfiler::recordLocal(int32_t Site) {
   if (Site < 0 || static_cast<unsigned>(Site) >= NumSites)
     return;
-  SiteOps[Site] = Op;
   ++Sites[Site].LocalHits;
 }
 

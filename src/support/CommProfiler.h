@@ -35,12 +35,6 @@
 
 namespace earthcc {
 
-/// The dynamic operation classes the profiler distinguishes. These mirror
-/// the OpCounters fields, specialized to split-phase communication.
-enum class CommOpKind : uint8_t { Read, Write, BlkMov, Atomic };
-
-const char *commOpKindName(CommOpKind K);
-
 /// End-of-run occupancy statistics for one directed network link, reported
 /// by the NetworkModel (earth/NetworkModel.h). Defined here so the profiler
 /// (support layer) can carry them without depending on the earth layer.
@@ -92,21 +86,16 @@ public:
   /// Records one remote split-phase transaction: issued from node \p From
   /// against node \p To, moving \p Words words, issue started at
   /// \p IssueStartNs and completed at \p DoneNs (simulated clock).
-  void record(int32_t Site, CommOpKind Op, unsigned From, unsigned To,
-              uint64_t Words, double IssueStartNs, double DoneNs);
+  void record(int32_t Site, unsigned From, unsigned To, uint64_t Words,
+              double IssueStartNs, double DoneNs);
 
   /// Records a comm-capable operation that resolved locally (no message).
-  void recordLocal(int32_t Site, CommOpKind Op, unsigned Node,
-                   uint64_t Words);
+  void recordLocal(int32_t Site);
 
   unsigned numSites() const { return NumSites; }
   unsigned numNodes() const { return NumNodes; }
   const SiteProfile &site(unsigned Id) const { return Sites[Id]; }
-  CommOpKind siteOp(unsigned Id) const { return SiteOps[Id]; }
 
-  uint64_t trafficMsgs(unsigned From, unsigned To) const {
-    return TrafficMsgs[From * NumNodes + To];
-  }
   uint64_t trafficWords(unsigned From, unsigned To) const {
     return TrafficWords[From * NumNodes + To];
   }
@@ -130,9 +119,8 @@ private:
   unsigned NumSites = 0;
   unsigned NumNodes = 0;
   std::vector<SiteProfile> Sites;
-  std::vector<CommOpKind> SiteOps;
-  std::vector<uint64_t> TrafficMsgs;  ///< NumNodes x NumNodes, row = from.
-  std::vector<uint64_t> TrafficWords; ///< Same shape, in words.
+  /// NumNodes x NumNodes remote words, row = from.
+  std::vector<uint64_t> TrafficWords;
   std::string NetTopology;
   std::vector<NetLinkStats> NetLinks;
   std::vector<uint64_t> NetPairWords; ///< Same shape as TrafficWords.

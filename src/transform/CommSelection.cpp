@@ -306,8 +306,6 @@ private:
   /// guaranteed to dereference \p P (conservatively: within this sequence).
   bool safeToDeref(const std::vector<Stmt *> &Elems, size_t I,
                    const Var *P) const {
-    if (Opts.SpeculativeReads)
-      return true;
     for (size_t K = I; K != Elems.size(); ++K) {
       Deref D = derefGuarantee(*Elems[K], P);
       if (D != Deref::Transparent)

@@ -47,9 +47,9 @@ struct CommOptions {
   bool EnableBlocking = true;        ///< Allow blkmov selection.
   bool EnableRedundancyElim = true;  ///< Reuse live comm temps.
   bool EnableWriteBlocking = true;   ///< Sink + block remote writes.
-  bool SpeculativeReads = false;     ///< Skip the deref-on-all-paths check.
   unsigned BlockThresholdWords = 3;  ///< Paper: blkmov wins at >= 3 words.
-  unsigned MaxBlockOverfetch = 4;    ///< Pipeline if struct > this * fields.
+  /// Pipeline if struct > this * fields.
+  static constexpr unsigned MaxBlockOverfetch = 4;
   PlacementOptions Placement;
 
   /// The cost-model decision between pipelining and blocking a group of

@@ -125,12 +125,6 @@ MachineConfig earthcc::workloadMachine(RunMode Mode, unsigned Nodes) {
   return MC;
 }
 
-CompileResult earthcc::compileWorkload(const Workload &W, RunMode Mode,
-                                       const CommOptions &Comm) {
-  Pipeline P(workloadOptions(Mode, Comm));
-  return P.compile(W.Source);
-}
-
 RunResult earthcc::runWorkload(const Workload &W, RunMode Mode,
                                unsigned Nodes, const CommOptions &Comm) {
   Pipeline P(workloadOptions(Mode, Comm));

@@ -84,14 +84,9 @@ PipelineOptions workloadOptions(RunMode Mode, const CommOptions &Comm = {});
 /// The machine configuration matching \p Mode at \p Nodes nodes.
 MachineConfig workloadMachine(RunMode Mode, unsigned Nodes);
 
-/// Compiles \p W once under \p Mode. Run the resulting module at any
-/// number of machine sizes via Pipeline::run — the module does not depend
-/// on the node count, so harnesses must not recompile per configuration.
-CompileResult compileWorkload(const Workload &W, RunMode Mode,
-                              const CommOptions &Comm = {});
-
 /// Compiles and runs \p W under \p Mode on \p Nodes nodes (one-shot
-/// convenience; sweeps should use compileWorkload + Pipeline::run).
+/// convenience). A sweep compiles once with a Pipeline and runs the module
+/// at every machine size: the module does not depend on the node count.
 RunResult runWorkload(const Workload &W, RunMode Mode, unsigned Nodes,
                       const CommOptions &Comm = {});
 

@@ -170,27 +170,22 @@ TEST_P(EngineEquivalenceTest, QuantumSweep) {
   }
 }
 
-// Topology axis: at every fixed (topology, distribution) the two engines
-// must still be bit-identical — the network model mutates link state in
-// event order, so this pins that both engines issue network transactions in
-// the same order even under contention.
+// Topology axis: at every fixed topology the two engines must still be
+// bit-identical — the network model mutates link state in event order, so
+// this pins that both engines issue network transactions in the same order
+// even under contention.
 TEST_P(EngineEquivalenceTest, TopologyAxis) {
   Pipeline P(workloadOptions(RunMode::Optimized));
   CompileResult CR = P.compile(workload().smallSource());
   ASSERT_TRUE(CR.OK) << CR.Messages;
   for (Topology Topo : {Topology::Bus, Topology::Mesh2D, Topology::Torus2D,
                         Topology::FatTree}) {
-    for (Distribution Dist : {Distribution::Cyclic, Distribution::Block}) {
-      MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
-      MC.Topo = Topo;
-      MC.Dist = Dist;
-      std::string What = GetParam() + "/topology=" +
-                         topologyName(Topo) + "/dist=" +
-                         distributionName(Dist);
-      auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
-      auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-      expectIdentical(Ast, Bc, What);
-    }
+    MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
+    MC.Topo = Topo;
+    std::string What = GetParam() + "/topology=" + topologyName(Topo);
+    auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
+    auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
+    expectIdentical(Ast, Bc, What);
   }
 }
 
@@ -436,6 +431,62 @@ TEST(EngineExitValueTest, NegativeIntAndDoubleExits) {
     expectSameValue(Ast.R.ExitValue, C.Exit, C.Src);
     expectIdentical(Ast, runWith(P, *CR.M, MC, ExecEngine::Bytecode), C.Src);
   }
+}
+
+// pmalloc takes its pointer type from where its value goes — a store, a
+// struct-field write, a return or a call argument, not only a plain
+// variable — and each program runs to the same exit on both engines.
+TEST(EngineExitValueTest, PMallocTakesItsDestinationsType) {
+  const std::string Node = "struct node { int v; node *next; };\n";
+  struct Case {
+    std::string Src;
+    int64_t Exit;
+  } Cases[] = {
+      {Node + "int main() { node *p; p = pmalloc(2); p->v = 1; "
+              "p->next = pmalloc(2); p->next->v = 41; "
+              "return p->v + p->next->v; }",
+       42},
+      {Node + "struct holder { node *a; int k; };\n"
+              "int main() { holder s; s.a = pmalloc(1); s.a->v = 7; "
+              "return s.a->v; }",
+       7},
+      {Node + "node *make() { return pmalloc(2); }\n"
+              "int main() { node *p; p = make(); p->v = 5; return p->v; }",
+       5},
+      {Node + "int use(node *p) { p->v = 3; return p->v + 1; }\n"
+              "int main() { return use(pmalloc(2)); }",
+       4},
+  };
+  for (const Case &C : Cases) {
+    for (const PipelineOptions &Opts :
+         {PipelineOptions::simple(), PipelineOptions::optimized()}) {
+      Pipeline P(Opts);
+      CompileResult CR = P.compile(C.Src);
+      ASSERT_TRUE(CR.OK) << C.Src << ": " << CR.Messages;
+      MachineConfig MC;
+      MC.NumNodes = 2;
+      auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
+      ASSERT_TRUE(Ast.R.OK) << C.Src << ": " << Ast.R.Error;
+      expectSameValue(Ast.R.ExitValue, RtValue::makeInt(C.Exit), C.Src);
+      expectIdentical(Ast, runWith(P, *CR.M, MC, ExecEngine::Bytecode),
+                      C.Src);
+    }
+  }
+
+  // The store lowers as its spelled-out form `t = pmalloc(2); p->next = t;`
+  // does, so the optimizer sees the same allocation and the runs match.
+  Pipeline P(PipelineOptions::optimized());
+  MachineConfig MC;
+  MC.NumNodes = 2;
+  RunResult Direct = P.run(P.compile(Cases[0].Src), MC);
+  RunResult ViaTemp = P.run(
+      P.compile(Node + "int main() { node *p; node *t; p = pmalloc(2); "
+                       "p->v = 1; t = pmalloc(2); p->next = t; "
+                       "p->next->v = 41; return p->v + p->next->v; }"),
+      MC);
+  ASSERT_TRUE(Direct.OK && ViaTemp.OK) << Direct.Error << ViaTemp.Error;
+  EXPECT_DOUBLE_EQ(Direct.TimeNs, ViaTemp.TimeNs);
+  EXPECT_EQ(Direct.Counters.total(), ViaTemp.Counters.total());
 }
 
 // Runtime errors must be reported with identical text through both engines.

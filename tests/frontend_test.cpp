@@ -885,6 +885,22 @@ TEST(SemaErrorTest, NegatingAPointerRejected) {
                  "2:57: error: '-' requires an arithmetic operand");
 }
 
+/// Each intrinsic checks its argument count at the call before lowering
+/// any argument: a missing argument is a located error, not an abort, and
+/// an extra one is not dropped.
+TEST(SemaErrorTest, IntrinsicArgumentCounts) {
+  expectOneError("int main() { int x; x = isqrt(); return x; }",
+                 "1:30: error: isqrt takes one argument");
+  expectOneError("int main() { int x; x = fabs(); return x; }",
+                 "1:29: error: fabs takes one argument");
+  expectOneError("int main() { double d; d = sqrt(1.0, 2.0); return 0; }",
+                 "1:32: error: sqrt takes one argument");
+  expectOneError("int main() { int x; x = my_node(5); return x; }",
+                 "1:32: error: my_node takes no arguments");
+  expectOneError("int main() { int x; x = num_nodes(1, 2); return x; }",
+                 "1:34: error: num_nodes takes no arguments");
+}
+
 TEST(SemaErrorTest, StructSelfContainmentRejected) {
   DiagnosticsEngine Diags;
   compileToSimple("struct node { node inner; };", Diags);

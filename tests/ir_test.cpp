@@ -153,29 +153,6 @@ TEST(PrinterTest, MarksRemoteAccesses) {
   EXPECT_NE(Out.find("p->y{r} = x;"), std::string::npos);
 }
 
-TEST(CloneTest, DeepCopiesControlFlow) {
-  Module M;
-  Function *F = M.createFunction("f", M.types().intTy());
-  Var *X = F->addParam("x", M.types().intTy());
-  IRBuilder B(M, *F);
-  IfStmt *If = B.beginIf(B.cmp(BinaryOp::Lt, Operand::var(X),
-                               Operand::intConst(10)));
-  B.ret(Operand::intConst(1));
-  B.elsePart(If);
-  B.ret(Operand::intConst(0));
-  B.endIf();
-  B.finish();
-
-  StmtPtr Copy = cloneStmt(F->body());
-  std::string A = printStmt(F->body());
-  std::string Bp = printStmt(*Copy);
-  EXPECT_EQ(A, Bp);
-  // Mutating the copy must not affect the original.
-  auto &CopySeq = castStmt<SeqStmt>(*Copy);
-  CopySeq.Stmts.clear();
-  EXPECT_FALSE(F->body().empty());
-}
-
 TEST(VerifierTest, AcceptsWellFormed) {
   Module M;
   StructType *S = makePointStruct(M);

@@ -3,11 +3,11 @@
 // Part of the earthcc project.
 //
 // The pluggable interconnect layer (earth/NetworkModel.h): parsing and
-// diagnostics, the distribution mapping, the ideal model's equivalence to
-// the historical constant-latency arithmetic, and — for every routed
-// topology — traffic conservation: the words each link carried must equal
-// the pair matrix of injected transfers pushed through route(), and the
-// profiler's network view must agree with its per-site totals. A golden
+// diagnostics, the ideal model's equivalence to the historical
+// constant-latency arithmetic, and — for every routed topology — traffic
+// conservation: the words each link carried must equal the pair matrix of
+// injected transfers pushed through route(), and the profiler's network
+// view must agree with its per-site totals. A golden
 // pins every link's statistics of one real workload per routed topology;
 // after an intentional change to the network model, regenerate it with
 //
@@ -37,8 +37,6 @@ using namespace earthcc;
 
 namespace {
 
-CostModel testCosts() { return CostModel(); }
-
 std::string goldenPath() {
   return std::string(EARTHCC_GOLDEN_DIR) + "/network_links.json";
 }
@@ -64,37 +62,14 @@ TEST(NetworkParseTest, NamesRoundTrip) {
     EXPECT_NE(std::string(topologyChoices()).find(topologyName(T)),
               std::string::npos);
   }
-  for (Distribution D : {Distribution::Cyclic, Distribution::Block}) {
-    Distribution Out = Distribution::Cyclic;
-    EXPECT_TRUE(parseDistribution(distributionName(D), Out));
-    EXPECT_EQ(Out, D);
-    EXPECT_NE(std::string(distributionChoices()).find(distributionName(D)),
-              std::string::npos);
-  }
   Topology T = Topology::Ideal;
   EXPECT_FALSE(parseTopology("hypercube", T));
   EXPECT_FALSE(parseTopology("", T));
-  Distribution D = Distribution::Cyclic;
-  EXPECT_FALSE(parseDistribution("random", D));
-}
-
-TEST(PlaceIndexTest, CyclicAndBlock) {
-  // Cyclic is the historical `index % nodes` mapping.
-  for (uint64_t I = 0; I != 20; ++I)
-    EXPECT_EQ(placeIndex(I, 4, Distribution::Cyclic, 8), I % 4);
-  // Block maps runs of BlockSize consecutive indices to one node.
-  EXPECT_EQ(placeIndex(0, 4, Distribution::Block, 8), 0u);
-  EXPECT_EQ(placeIndex(7, 4, Distribution::Block, 8), 0u);
-  EXPECT_EQ(placeIndex(8, 4, Distribution::Block, 8), 1u);
-  EXPECT_EQ(placeIndex(31, 4, Distribution::Block, 8), 3u);
-  EXPECT_EQ(placeIndex(32, 4, Distribution::Block, 8), 0u); // wraps
-  // A zero block size must not divide by zero (clamped to 1).
-  EXPECT_EQ(placeIndex(5, 4, Distribution::Block, 0), 1u);
 }
 
 TEST(IdealNetworkTest, MatchesHistoricalArithmetic) {
-  CostModel C = testCosts();
-  auto Net = createNetworkModel(Topology::Ideal, 4, C, 450.0, 160.0);
+  const CostModel &C = EarthMannaCosts;
+  auto Net = createNetworkModel(Topology::Ideal, 4);
   EXPECT_EQ(Net->topology(), Topology::Ideal);
   EXPECT_EQ(Net->numNodes(), 4u);
   // Constant latency, load- and size-independent.
@@ -119,14 +94,14 @@ TEST(IdealNetworkTest, MatchesHistoricalArithmetic) {
 }
 
 TEST(RoutedNetworkTest, BusSerializesTransfers) {
-  CostModel C = testCosts();
-  auto Net = createNetworkModel(Topology::Bus, 4, C, 450.0, 100.0);
+  const CostModel &C = EarthMannaCosts;
+  auto Net = createNetworkModel(Topology::Bus, 4);
   // First transfer: departs immediately, holds the bus NetDelay + 2 words.
   double D1 = Net->transferDone(0, 1, 2, 1000.0);
-  EXPECT_DOUBLE_EQ(D1, 1000.0 + C.NetDelay + 200.0);
+  EXPECT_DOUBLE_EQ(D1, 1000.0 + C.NetDelay + 2 * C.PerWord);
   // Second transfer issued during the first one's occupancy queues.
   double D2 = Net->transferDone(2, 3, 2, 1000.0);
-  EXPECT_DOUBLE_EQ(D2, D1 + C.NetDelay + 200.0);
+  EXPECT_DOUBLE_EQ(D2, D1 + C.NetDelay + 2 * C.PerWord);
   // Local delivery never touches the bus.
   EXPECT_DOUBLE_EQ(Net->transferDone(1, 1, 50, 5000.0), 5000.0);
   std::vector<NetLinkStats> Links = Net->linkStats();
@@ -138,23 +113,21 @@ TEST(RoutedNetworkTest, BusSerializesTransfers) {
 }
 
 TEST(RoutedNetworkTest, GridRoutesAreMinimal) {
-  CostModel C = testCosts();
   // 2x2 mesh: opposite corners are 2 hops apart.
-  auto Mesh = createNetworkModel(Topology::Mesh2D, 4, C, 450.0, 160.0);
+  auto Mesh = createNetworkModel(Topology::Mesh2D, 4);
   EXPECT_EQ(Mesh->route(0, 3).size(), 2u);
   EXPECT_EQ(Mesh->route(0, 1).size(), 1u);
   EXPECT_TRUE(Mesh->route(2, 2).empty());
   // 4x4 mesh: 0 -> 15 is a 6-hop manhattan walk; the torus wraps it in 2.
-  auto Mesh16 = createNetworkModel(Topology::Mesh2D, 16, C, 450.0, 160.0);
+  auto Mesh16 = createNetworkModel(Topology::Mesh2D, 16);
   EXPECT_EQ(Mesh16->route(0, 15).size(), 6u);
-  auto Torus16 = createNetworkModel(Topology::Torus2D, 16, C, 450.0, 160.0);
+  auto Torus16 = createNetworkModel(Topology::Torus2D, 16);
   EXPECT_EQ(Torus16->route(0, 15).size(), 2u);
   EXPECT_EQ(Torus16->route(0, 3).size(), 1u); // wraparound beats 3 forward
 }
 
 TEST(RoutedNetworkTest, FatTreeRoutesClimbToLca) {
-  CostModel C = testCosts();
-  auto Net = createNetworkModel(Topology::FatTree, 16, C, 450.0, 160.0);
+  auto Net = createNetworkModel(Topology::FatTree, 16);
   // Siblings under one level-1 switch: one up, one down.
   EXPECT_EQ(Net->route(0, 3).size(), 2u);
   // Different level-1 switches: climb to the root and back.
@@ -165,11 +138,10 @@ TEST(RoutedNetworkTest, FatTreeRoutesClimbToLca) {
 // size (including non-square and non-power-of-4 node counts), the per-link
 // word totals must equal the injected pair matrix pushed through route().
 TEST(RoutedNetworkTest, TrafficConservation) {
-  CostModel C = testCosts();
   for (Topology Topo : {Topology::Bus, Topology::Mesh2D, Topology::Torus2D,
                         Topology::FatTree}) {
     for (unsigned N : {2u, 4u, 7u, 16u}) {
-      auto Net = createNetworkModel(Topo, N, C, 450.0, 160.0);
+      auto Net = createNetworkModel(Topo, N);
       std::vector<uint64_t> ExpectWords(size_t(N) * N, 0);
       std::vector<uint64_t> ExpectMsgs(size_t(N) * N, 0);
       // Deterministic pseudo-random transfer pattern (LCG).
@@ -259,8 +231,7 @@ TEST(NetworkIntegrationTest, ProfilerConservation) {
 
   // Per-link words re-derive from the pair matrix over a fresh identical
   // model (route() is a pure function of the topology).
-  auto Fresh = createNetworkModel(Topology::Torus2D, 4, MC.Costs, MC.NetHopNs,
-                                  MC.NetLinkWordNs);
+  auto Fresh = createNetworkModel(Topology::Torus2D, 4);
   std::vector<uint64_t> LinkWords(Prof.netLinks().size(), 0);
   for (unsigned F = 0; F != 4; ++F)
     for (unsigned T = 0; T != 4; ++T)
@@ -292,29 +263,6 @@ TEST(NetworkIntegrationTest, ProfilerConservation) {
   RunResult RB = P.run(*CR.M, Bus);
   ASSERT_TRUE(RB.OK) << RB.Error;
   EXPECT_GT(RB.TimeNs, RI.TimeNs);
-}
-
-// Distribution is honored end to end: block vs cyclic placement changes
-// where data lands, and both run to the same checksum.
-TEST(NetworkIntegrationTest, DistributionChangesPlacement) {
-  const Workload *W = findWorkload("power");
-  ASSERT_NE(W, nullptr);
-  Pipeline P(workloadOptions(RunMode::Optimized));
-  CompileResult CR = P.compile(W->smallSource());
-  ASSERT_TRUE(CR.OK) << CR.Messages;
-
-  MachineConfig Cyc = workloadMachine(RunMode::Optimized, 4);
-  MachineConfig Blk = workloadMachine(RunMode::Optimized, 4);
-  Blk.Dist = Distribution::Block;
-  Blk.DistBlockSize = 2;
-  RunResult RC = P.run(*CR.M, Cyc);
-  RunResult RB = P.run(*CR.M, Blk);
-  ASSERT_TRUE(RC.OK) << RC.Error;
-  ASSERT_TRUE(RB.OK) << RB.Error;
-  // Same program, same answer — placement must never change semantics.
-  EXPECT_EQ(RC.ExitValue.I, RB.ExitValue.I);
-  // But the words land on different nodes.
-  EXPECT_NE(RC.WordsPerNode, RB.WordsPerNode);
 }
 
 // Per-link statistics of a real run, pinned: optimized tsp at 16 nodes on

@@ -581,26 +581,4 @@ TEST(OptionsTest, PessimisticConditionalReads) {
   EXPECT_EQ(summarize(C.PR.readsBefore(VInit)), "");
 }
 
-TEST(OptionsTest, LoopFactorConfigurable) {
-  PlacementOptions Opts;
-  Opts.LoopFrequencyFactor = 100.0;
-  Compiled C = analyze(R"(
-    struct Point { double x; double y; };
-    double f(Point *p, int n) {
-      double s;
-      int i;
-      s = 0.0;
-      i = 0;
-      while (i < n) {
-        s = s + p->x;
-        i = i + 1;
-      }
-      return s;
-    }
-  )",
-                       "f", Opts);
-  const Stmt *SInit = findStmt(*C.F, "s = 0");
-  EXPECT_EQ(summarize(C.PR.readsBefore(SInit)), "p->x:100");
-}
-
 } // namespace

@@ -86,29 +86,21 @@ TEST(CompileRequestKeyTest, SourceIsLengthPrefixed) {
 
 TEST(KeyBytesGoldenTest, CompileRequestPresets) {
   EXPECT_EQ(CompileRequest::optimized("int main() { return 0; }").keyBytes(),
-            "earthcc-compile-v1;optimize=1;locality=0;read-motion=1;"
+            "earthcc-compile-v2;optimize=1;locality=0;read-motion=1;"
             "blocking=1;redundancy-elim=1;write-blocking=1;"
-            "speculative-reads=0;block-threshold=3;max-overfetch=4;"
-            "loop-freq=10;optimistic-cond=1;"
+            "block-threshold=3;optimistic-cond=1;"
             "source=24:int main() { return 0; };");
   EXPECT_EQ(CompileRequest::simple("int main() { return 0; }").keyBytes(),
-            "earthcc-compile-v1;optimize=0;locality=0;read-motion=1;"
+            "earthcc-compile-v2;optimize=0;locality=0;read-motion=1;"
             "blocking=1;redundancy-elim=1;write-blocking=1;"
-            "speculative-reads=0;block-threshold=3;max-overfetch=4;"
-            "loop-freq=10;optimistic-cond=1;"
+            "block-threshold=3;optimistic-cond=1;"
             "source=24:int main() { return 0; };");
 }
 
 TEST(KeyBytesGoldenTest, DefaultRunRequest) {
   EXPECT_EQ(RunRequest().keyBytes(),
-            "earthcc-run-v4;entry=4:main;args=0;nodes=4;sequential=0;"
-            "topology=5:ideal;distribution=6:cyclic;net-hop=450;"
-            "net-link-word=160;dist-block=8;engine=1;null-reads=0;"
-            "max-steps=500000000;quantum=64;read-issue=1908;"
-            "write-issue=1749;blk-issue=2602;net-delay=1800;su-read=1601;"
-            "su-write=1109;su-blk=3338;su-atomic=1601;per-word=160;"
-            "local-fallback=250;local-blk-word=4;stmt=40;copy=10;"
-            "local-access=20;call=200;return=100;spawn=600;ctx-switch=400;"
+            "earthcc-run-v5;entry=4:main;args=0;nodes=4;sequential=0;"
+            "topology=5:ideal;engine=1;max-steps=500000000;quantum=64;"
             "profile=1;");
 }
 
@@ -123,27 +115,15 @@ TEST(KeyBytesGoldenTest, EveryKeyedRunFieldOffItsDefault) {
   R.Args = {RtValue::undef(), RtValue::makeInt(-7), RtValue::makeDbl(0.1),
             RtValue::makePtr(GlobalAddr{2, 5})};
   R.Topo = Topology::Torus2D;
-  R.Dist = Distribution::Block;
-  R.NetHopNs = 900;
-  R.NetLinkWordNs = 320.5;
-  R.DistBlockSize = 16;
   R.Engine = ExecEngine::AST;
-  R.AllowNullReads = true;
   R.MaxSteps = 1000;
   R.EUQuantum = 16;
-  R.Costs.NetDelay = 1234.5;
   R.RecordProfile = false;
   EXPECT_EQ(R.keyBytes(),
-            "earthcc-run-v4;entry=5:start;args=4;arg=5:undef;"
+            "earthcc-run-v5;entry=5:start;args=4;arg=5:undef;"
             "arg-int=18446744073709551609;arg-dbl=0.10000000000000001;"
             "arg-ptr=4:n2:5;nodes=1;sequential=1;topology=7:torus2d;"
-            "distribution=5:block;net-hop=900;net-link-word=320.5;"
-            "dist-block=16;engine=0;null-reads=1;max-steps=1000;quantum=16;"
-            "read-issue=1908;write-issue=1749;blk-issue=2602;"
-            "net-delay=1234.5;su-read=1601;su-write=1109;su-blk=3338;"
-            "su-atomic=1601;per-word=160;local-fallback=250;"
-            "local-blk-word=4;stmt=40;copy=10;local-access=20;call=200;"
-            "return=100;spawn=600;ctx-switch=400;profile=0;");
+            "engine=0;max-steps=1000;quantum=16;profile=0;");
 }
 
 TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
@@ -169,40 +149,19 @@ TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   Args.Args.push_back(RtValue::makeInt(3));
   EXPECT_NE(Base.keyBytes(), Args.keyBytes());
 
-  RunRequest Costs = Base;
-  Costs.Costs.NetDelay *= 2;
-  EXPECT_NE(Base.keyBytes(), Costs.keyBytes());
-
   RunRequest Fuel = Base;
   Fuel.MaxSteps = 123;
   EXPECT_NE(Base.keyBytes(), Fuel.keyBytes());
 }
 
 TEST(RunRequestKeyTest, NetworkModelFieldsPerturbKey) {
-  // Topology, distribution and the network parameters change *simulated*
-  // results (contention reorders completion times; the distribution moves
-  // data between owners) — every one of them must split the cache.
+  // The topology changes *simulated* results (contention reorders
+  // completion times), so it must split the cache.
   RunRequest Base;
 
   RunRequest Topo = Base;
   Topo.Topo = Topology::Torus2D;
   EXPECT_NE(Base.keyBytes(), Topo.keyBytes());
-
-  RunRequest Dist = Base;
-  Dist.Dist = Distribution::Block;
-  EXPECT_NE(Base.keyBytes(), Dist.keyBytes());
-
-  RunRequest Hop = Base;
-  Hop.NetHopNs *= 2;
-  EXPECT_NE(Base.keyBytes(), Hop.keyBytes());
-
-  RunRequest LinkWord = Base;
-  LinkWord.NetLinkWordNs *= 2;
-  EXPECT_NE(Base.keyBytes(), LinkWord.keyBytes());
-
-  RunRequest Block = Base;
-  Block.DistBlockSize = 17;
-  EXPECT_NE(Base.keyBytes(), Block.keyBytes());
 }
 
 TEST(RunRequestKeyTest, ProfileFlagPerturbsKey) {
@@ -295,15 +254,6 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_TRUE(R.SequentialMode);
   EXPECT_TRUE(applyRequestOption(C, R, "topology", "torus2d", Err)) << Err;
   EXPECT_EQ(R.Topo, Topology::Torus2D);
-  EXPECT_TRUE(applyRequestOption(C, R, "distribution", "block", Err)) << Err;
-  EXPECT_EQ(R.Dist, Distribution::Block);
-  EXPECT_TRUE(applyRequestOption(C, R, "net-hop-ns", "900", Err)) << Err;
-  EXPECT_EQ(R.NetHopNs, 900.0);
-  EXPECT_TRUE(applyRequestOption(C, R, "net-link-word-ns", "320.5", Err))
-      << Err;
-  EXPECT_EQ(R.NetLinkWordNs, 320.5);
-  EXPECT_TRUE(applyRequestOption(C, R, "dist-block", "16", Err)) << Err;
-  EXPECT_EQ(R.DistBlockSize, 16u);
 }
 
 TEST(OptionTableTest, RejectsMalformedInput) {
@@ -320,36 +270,22 @@ TEST(OptionTableTest, RejectsMalformedInput) {
   EXPECT_FALSE(applyRequestOption(C, R, "nodes",
                                   std::to_string(MaxSimNodes + 1), Err));
   EXPECT_NE(Err.find(std::to_string(MaxSimNodes)), std::string::npos);
-  // Unknown topology/distribution values list the valid choices.
+  // An unknown topology lists the valid choices.
   EXPECT_FALSE(applyRequestOption(C, R, "topology", "hypercube", Err));
   EXPECT_NE(Err.find("hypercube"), std::string::npos);
   EXPECT_NE(Err.find(topologyChoices()), std::string::npos);
-  EXPECT_FALSE(applyRequestOption(C, R, "distribution", "random", Err));
-  EXPECT_NE(Err.find(distributionChoices()), std::string::npos);
-  EXPECT_FALSE(applyRequestOption(C, R, "net-hop-ns", "-3", Err));
-  EXPECT_FALSE(applyRequestOption(C, R, "net-link-word-ns", "fast", Err));
-  // Network latencies are bounded, so simulated time stays finite: an
-  // overflowing literal and a value past the 1e9 ns ceiling are refused.
-  for (const char *Field : {"net-hop-ns", "net-link-word-ns"}) {
-    for (const char *Bad : {"1e309", "inf", "nan", "1e10"}) {
-      EXPECT_FALSE(applyRequestOption(C, R, Field, Bad, Err))
-          << Field << "=" << Bad;
-      EXPECT_NE(Err.find(Field), std::string::npos) << Err;
-    }
-    EXPECT_TRUE(applyRequestOption(C, R, Field, "450", Err)) << Err;
-  }
-  EXPECT_EQ(R.NetHopNs, 450.0);
-  EXPECT_EQ(R.NetLinkWordNs, 450.0);
-  EXPECT_FALSE(applyRequestOption(C, R, "dist-block", "0", Err));
 }
 
 TEST(OptionTableTest, RetiredOptionsAreUnknown) {
-  // Superinstruction fusion and the computed-goto loop were retired: their
-  // knobs take the ordinary unknown-option path on every surface (the CLI
-  // and --serve both report this message), whatever the value.
+  // Superinstruction fusion and the computed-goto loop were retired, and
+  // the placement distribution and network latencies are the paper's
+  // constants: their knobs take the ordinary unknown-option path on every
+  // surface (the CLI and --serve both report this message), whatever the
+  // value.
   CompileRequest C;
   RunRequest R;
-  for (const char *Name : {"fuse", "dispatch"}) {
+  for (const char *Name : {"fuse", "dispatch", "distribution", "dist-block",
+                           "net-hop-ns", "net-link-word-ns"}) {
     for (const char *Value : {"", "on", "off", "goto", "switch"}) {
       std::string Err;
       EXPECT_FALSE(applyRequestOption(C, R, Name, Value, Err)) << Name;

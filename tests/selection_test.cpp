@@ -428,7 +428,6 @@ TEST(OptionsTest, OverfetchGuardPipelines) {
   // 3 fields used out of a 16-word struct: with MaxBlockOverfetch=4 the
   // block would move 16 > 4*3 words... 16 <= 12 fails, so pipelined.
   CommOptions Opts;
-  Opts.MaxBlockOverfetch = 4;
   Optimized O = optimize(R"(
     struct Big {
       double f0; double f1; double f2; double f3;

@@ -263,11 +263,11 @@ TEST(CommProfilerTest, PercentileIsBucketLowerBound) {
 TEST(CommProfilerTest, RecordAccumulatesSitesAndTraffic) {
   CommProfiler Prof;
   Prof.beginRun(/*NumSites=*/3, /*NumNodes=*/2);
-  Prof.record(0, CommOpKind::Read, /*From=*/0, /*To=*/1, /*Words=*/1,
+  Prof.record(0, /*From=*/0, /*To=*/1, /*Words=*/1,
               /*IssueStartNs=*/100.0, /*DoneNs=*/150.0);
-  Prof.record(0, CommOpKind::Read, 0, 1, 1, 200.0, 280.0);
-  Prof.record(2, CommOpKind::BlkMov, 1, 0, 8, 300.0, 400.0);
-  Prof.recordLocal(1, CommOpKind::Write, 0, 1);
+  Prof.record(0, 0, 1, 1, 200.0, 280.0);
+  Prof.record(2, 1, 0, 8, 300.0, 400.0);
+  Prof.recordLocal(1);
 
   EXPECT_EQ(Prof.site(0).Msgs, 2u);
   EXPECT_EQ(Prof.site(0).Words, 2u);
@@ -277,9 +277,7 @@ TEST(CommProfilerTest, RecordAccumulatesSitesAndTraffic) {
   EXPECT_EQ(Prof.site(1).Msgs, 0u);
   EXPECT_EQ(Prof.site(1).LocalHits, 1u);
   EXPECT_EQ(Prof.site(2).Words, 8u);
-  EXPECT_EQ(Prof.siteOp(2), CommOpKind::BlkMov);
   EXPECT_EQ(Prof.totalMsgs(), 3u);
-  EXPECT_EQ(Prof.trafficMsgs(0, 1), 2u);
   EXPECT_EQ(Prof.trafficWords(0, 1), 2u);
   EXPECT_EQ(Prof.trafficWords(1, 0), 8u);
   EXPECT_EQ(Prof.trafficWords(0, 0), 0u);
@@ -289,12 +287,11 @@ TEST(CommProfilerTest, ProfileIsPureFunctionOfRecordedData) {
   CommProfiler A, B;
   for (CommProfiler *P : {&A, &B}) {
     P->beginRun(2, 2);
-    P->record(0, CommOpKind::Read, 0, 1, 1, 10.0, 42.0);
-    P->recordLocal(1, CommOpKind::Atomic, 1, 0);
+    P->record(0, 0, 1, 1, 10.0, 42.0);
+    P->recordLocal(1);
   }
   for (unsigned I = 0; I != 2; ++I) {
     const SiteProfile &SA = A.site(I), &SB = B.site(I);
-    EXPECT_EQ(A.siteOp(I), B.siteOp(I)) << I;
     EXPECT_EQ(SA.Msgs, SB.Msgs) << I;
     EXPECT_EQ(SA.Words, SB.Words) << I;
     EXPECT_EQ(SA.LocalHits, SB.LocalHits) << I;
@@ -304,7 +301,6 @@ TEST(CommProfilerTest, ProfileIsPureFunctionOfRecordedData) {
       EXPECT_EQ(A.trafficWords(I, To), B.trafficWords(I, To)) << I;
   }
   EXPECT_EQ(A.site(0).latencyPercentileNs(50), 32u);
-  EXPECT_EQ(A.siteOp(1), CommOpKind::Atomic);
   EXPECT_EQ(A.site(1).LocalHits, 1u);
   // beginRun resets: a fresh run must not inherit prior counts.
   A.beginRun(2, 2);
