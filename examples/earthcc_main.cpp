@@ -291,6 +291,11 @@ int main(int argc, char **argv) {
     SO.Service.CacheBudgetBytes = size_t(CacheMB) << 20;
     SO.BaseCompile = CReq; // process-wide defaults under each request
     SO.BaseRun = RReq;
+    // The serve loop is the only stdin/stdout user until it returns, and
+    // unsynced streams read request lines in bulk instead of one stdio call
+    // per character. Every response line is flushed, so the metrics
+    // printed below still follow the last one.
+    std::ios::sync_with_stdio(false);
     runServeLoop(std::cin, std::cout, SO);
     if (!MetricsMode.empty())
       emitMetrics(MetricsMode);

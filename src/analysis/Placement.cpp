@@ -6,13 +6,13 @@
 
 #include "analysis/Placement.h"
 
+#include "support/FlatSet.h"
 #include "support/Remark.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 
 using namespace earthcc;
 
@@ -60,7 +60,7 @@ struct RCEKeyHash {
 };
 
 /// Hash-indexed flat set of RCE tuples: contiguous storage (cheap to scan,
-/// cheap to move tuples into) plus an unordered index for O(1) merging.
+/// cheap to move tuples into) plus a FlatIndex for O(1) merging.
 /// Iteration order is insertion order (deterministic: it only depends on
 /// the order of add() calls); every output boundary goes through
 /// snapshot(), which sorts by (variable id, offset).
@@ -71,18 +71,22 @@ struct RCEKeyHash {
 /// neither a copy nor a sort — the delta-propagation fast path that makes
 /// the analysis sparse.
 class RCESet {
+  auto keyAt() const {
+    return [this](size_t I) { return RCEKey{Items[I].Base, Items[I].Off}; };
+  }
+
 public:
   /// Inserts \p T, or merges it into the tuple already recorded for its
   /// location (frequencies add, Dlists unite; the earlier-inserted tuple's
   /// location/field/type metadata wins).
   void add(RCE T) {
     Sorted.reset();
-    auto [It, Inserted] = Index.try_emplace({T.Base, T.Off}, Items.size());
-    if (Inserted) {
+    size_t I = Index.findOrAdd({T.Base, T.Off}, Items.size(), keyAt());
+    if (I == Items.size()) {
       Items.push_back(std::move(T));
       return;
     }
-    RCE &Existing = Items[It->second];
+    RCE &Existing = Items[I];
     Existing.Freq += T.Freq;
     std::vector<int> Merged;
     Merged.reserve(Existing.DList.size() + T.DList.size());
@@ -105,10 +109,10 @@ public:
   }
 
   const RCE *find(const RCEKey &K) const {
-    auto It = Index.find(K);
-    return It == Index.end() ? nullptr : &Items[It->second];
+    size_t I = Index.find(K, Items.size(), keyAt());
+    return I == Items.size() ? nullptr : &Items[I];
   }
-  bool contains(const RCEKey &K) const { return Index.count(K) != 0; }
+  bool contains(const RCEKey &K) const { return find(K) != nullptr; }
 
   size_t size() const { return Items.size(); }
   bool empty() const { return Items.empty(); }
@@ -134,7 +138,7 @@ public:
 
 private:
   std::vector<RCE> Items;
-  std::unordered_map<RCEKey, size_t, RCEKeyHash> Index;
+  FlatIndex<RCEKey, RCEKeyHash> Index;
   mutable PlacementResult::Snapshot Sorted;
 };
 

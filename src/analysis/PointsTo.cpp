@@ -6,9 +6,19 @@
 
 #include "analysis/PointsTo.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace earthcc;
+
+/// Inserts \p X into the sorted vector \p S; true if it was not there yet.
+template <typename T> static bool insertSorted(std::vector<T> &S, T X) {
+  auto It = std::lower_bound(S.begin(), S.end(), X);
+  if (It != S.end() && *It == X)
+    return false;
+  S.insert(It, X);
+  return true;
+}
 
 PointsToAnalysis::PointsToAnalysis(const Module &M) {
   collect(M);
@@ -86,7 +96,7 @@ void PointsToAnalysis::collect(const Module &M) {
       const StructType *Ty =
           Pointee->isStruct() ? Pointee->structType() : nullptr;
       Objects.push_back({/*IsAnchor=*/true, Obj, Ty});
-      Pts[varNode(P)].insert({Obj, 0});
+      insertSorted(Pts[varNode(P)], Target{Obj, 0});
     }
   }
   for (const auto &F : M.functions())
@@ -103,7 +113,7 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
     const auto &A = castStmt<AssignStmt>(S);
 
     // Destination node (only pointer-valued flows matter).
-    NodeId Dst;
+    NodeId Dst = 0; // Unused for a store.
     bool DstIsStore = false;
     const Var *StoreBase = nullptr;
     unsigned StoreOff = 0;
@@ -120,7 +130,6 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
       DstIsStore = true;
       StoreBase = A.L.V;
       StoreOff = A.L.OffsetWords;
-      Dst = 0; // Unused.
       break;
     }
 
@@ -130,7 +139,7 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
         NodeId BaseNode = varNode(StoreBase);
         Stores.push_back({BaseNode, StoreOff, Src});
       } else {
-        CopyEdges[Src].insert(Dst);
+        insertSorted(CopyEdges[Src], Dst);
       }
     };
 
@@ -184,7 +193,7 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
         Objects.push_back({/*IsAnchor=*/false, Obj,
                            Pointee->isStruct() ? Pointee->structType()
                                                : nullptr});
-        Pts[varNode(C.Result)].insert({Obj, 0});
+        insertSorted(Pts[varNode(C.Result)], Target{Obj, 0});
       }
       return;
     }
@@ -202,13 +211,13 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
         // CopyEdges vector and invalidate references.
         NodeId ArgNode = varNode(Arg.getVar());
         NodeId ParamNode = varNode(Param);
-        CopyEdges[ArgNode].insert(ParamNode);
+        insertSorted(CopyEdges[ArgNode], ParamNode);
       }
     }
     if (C.Result && C.Result->type()->isPointer()) {
       NodeId Ret = retNode(Callee);
       NodeId Res = varNode(C.Result);
-      CopyEdges[Ret].insert(Res);
+      insertSorted(CopyEdges[Ret], Res);
     }
     return;
   }
@@ -217,7 +226,7 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
     if (R.Val && R.Val->isVar() && R.Val->getVar()->type()->isPointer()) {
       NodeId Src = varNode(R.Val->getVar());
       NodeId Ret = retNode(&F);
-      CopyEdges[Src].insert(Ret);
+      insertSorted(CopyEdges[Src], Ret);
     }
     return;
   }
@@ -253,7 +262,7 @@ void PointsToAnalysis::collectStmt(const Function &F, const Stmt &S) {
 bool PointsToAnalysis::addTargets(NodeId N, const TargetSet &Ts) {
   bool Changed = false;
   for (Target T : Ts)
-    Changed |= Pts[N].insert(T).second;
+    Changed |= insertSorted(Pts[N], T);
   return Changed;
 }
 
@@ -269,9 +278,9 @@ void PointsToAnalysis::solve() {
 
     // Offset constraints: Dst ⊇ pts(Base) + Off.
     for (const OffsetConstraint &OC : Offsets) {
-      TargetSet Shifted;
+      TargetSet Shifted; // Shifting every Off keeps the order.
       for (Target T : Pts[OC.Base])
-        Shifted.insert({T.Obj, T.Off + OC.Off});
+        Shifted.push_back({T.Obj, T.Off + OC.Off});
       Changed |= addTargets(OC.Dst, Shifted);
     }
 
@@ -288,7 +297,7 @@ void PointsToAnalysis::solve() {
           const StructType *S =
               Pointee && Pointee->isStruct() ? Pointee->structType() : nullptr;
           unsigned Region = regionOf(T.Obj, S);
-          Changed |= Pts[LC.Dst].insert({Region, 0}).second;
+          Changed |= insertSorted(Pts[LC.Dst], Target{Region, 0});
         }
         NodeId W = wordNode(Word);
         Changed |= addTargets(LC.Dst, Pts[W]);
@@ -311,14 +320,6 @@ const PointsToAnalysis::TargetSet &
 PointsToAnalysis::pointsTo(const Var *V) const {
   auto It = VarNodes.find(V);
   return It == VarNodes.end() ? Empty : Pts[It->second];
-}
-
-PointsToAnalysis::TargetSet
-PointsToAnalysis::accessedWords(const Var *P, unsigned OffP) const {
-  TargetSet Out;
-  for (Target T : pointsTo(P))
-    Out.insert({T.Obj, T.Off + OffP});
-  return Out;
 }
 
 bool PointsToAnalysis::mayAlias(const Var *P, unsigned OffP, const Var *Q,

@@ -36,7 +36,6 @@
 #include "simple/Function.h"
 
 #include <map>
-#include <set>
 #include <vector>
 
 namespace earthcc {
@@ -63,7 +62,9 @@ public:
           (static_cast<unsigned long long>(T.Obj) << 32) | T.Off);
     }
   };
-  using TargetSet = std::set<Target>;
+  /// A sorted, duplicate-free vector: it iterates in (Obj, Off) order, as
+  /// the std::set it replaced did, but is one allocation.
+  using TargetSet = std::vector<Target>;
 
   /// Runs the analysis on \p M (must outlive this object).
   explicit PointsToAnalysis(const Module &M);
@@ -71,9 +72,6 @@ public:
   /// The words \p V may point to. Empty for non-pointers and never-assigned
   /// pointers.
   const TargetSet &pointsTo(const Var *V) const;
-
-  /// The abstract words `P->[OffP]` may denote: pts(P) shifted by OffP.
-  TargetSet accessedWords(const Var *P, unsigned OffP) const;
 
   /// True if an access at offset \p OffP via \p P may touch the same word
   /// as an access at offset \p OffQ via \p Q. Identical base variables are
@@ -135,7 +133,7 @@ private:
   std::map<const Function *, NodeId> RetNodes;
 
   std::vector<TargetSet> Pts;                  ///< Indexed by NodeId.
-  std::vector<std::set<NodeId>> CopyEdges;     ///< Src -> {Dst}.
+  std::vector<std::vector<NodeId>> CopyEdges;  ///< Src -> sorted {Dst}.
   std::vector<LoadConstraint> Loads;
   std::vector<StoreConstraint> Stores;
   std::vector<OffsetConstraint> Offsets;

@@ -23,7 +23,12 @@ SideEffects::SideEffects(const Module &M, const PointsToAnalysis &PT)
 //===----------------------------------------------------------------------===//
 
 void SideEffects::computeSummaries(const Module &M) {
-  // Collect each function's own direct heap accesses plus call edges.
+  // Collect each function's own direct heap accesses plus call edges. The
+  // words `P->[Off]` may touch are pts(P) shifted by Off.
+  auto insertWords = [this](WordSet &Set, const Var *P, unsigned Off) {
+    for (auto T : PT.pointsTo(P))
+      Set.insert({T.Obj, T.Off + Off});
+  };
   std::unordered_map<const Function *, std::vector<const Function *>> Callees;
   for (const auto &F : M.functions()) {
     WordSet Reads, Writes;
@@ -33,18 +38,16 @@ void SideEffects::computeSummaries(const Module &M) {
       case StmtKind::Assign: {
         const auto &A = castStmt<AssignStmt>(S);
         if (const auto *L = dynCast<LoadRV>(A.R.get()))
-          for (auto T : PT.accessedWords(L->Base, L->OffsetWords))
-            Reads.insert(T);
+          insertWords(Reads, L->Base, L->OffsetWords);
         if (A.L.Kind == LValueKind::Store)
-          for (auto T : PT.accessedWords(A.L.V, A.L.OffsetWords))
-            Writes.insert(T);
+          insertWords(Writes, A.L.V, A.L.OffsetWords);
         return;
       }
       case StmtKind::BlkMov: {
         const auto &B = castStmt<BlkMovStmt>(S);
         for (unsigned W = 0; W != B.Words; ++W)
-          for (auto T : PT.accessedWords(B.Ptr, W))
-            (B.Dir == BlkMovDir::ReadToLocal ? Reads : Writes).insert(T);
+          insertWords(B.Dir == BlkMovDir::ReadToLocal ? Reads : Writes, B.Ptr,
+                      W);
         return;
       }
       case StmtKind::Call: {
@@ -99,11 +102,12 @@ SideEffects::functionWrites(const Function *F) const {
 // Per-statement effects.
 //===----------------------------------------------------------------------===//
 
-SideEffects::StmtEffects SideEffects::computeStmt(const Stmt &S) {
-  if (auto It = Cache.find(&S); It != Cache.end())
-    return It->second;
+const SideEffects::StmtEffects &SideEffects::computeStmt(const Stmt &S) {
+  auto [It, Inserted] = Cache.try_emplace(&S);
+  StmtEffects &E = It->second;
+  if (!Inserted)
+    return E;
 
-  StmtEffects E;
   auto merge = [&E](const StmtEffects &Child) {
     E.VarWrites.insert(Child.VarWrites.begin(), Child.VarWrites.end());
     E.Heap.insert(E.Heap.end(), Child.Heap.begin(), Child.Heap.end());
@@ -177,8 +181,6 @@ SideEffects::StmtEffects SideEffects::computeStmt(const Stmt &S) {
 
   for (const HeapAccess &H : E.Heap)
     (H.IsWrite ? E.HasHeapWrite : E.HasHeapRead) = true;
-
-  Cache[&S] = E;
   return E;
 }
 
@@ -238,7 +240,7 @@ bool SideEffects::accessedViaAlias(const Var *P, unsigned Off, const Stmt &S,
   }
 
   // Call effects (always "via alias": the callee uses its own variables).
-  // Walk pts(P) directly instead of materializing accessedWords(P, Off) —
+  // Walk pts(P) directly instead of materializing its words shifted by Off —
   // this query runs per tuple per statement in the placement kill checks.
   const auto &Words = Write ? E.CallWriteWords : E.CallReadWords;
   if (Words.empty())

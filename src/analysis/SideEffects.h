@@ -103,10 +103,13 @@ private:
   };
 
   void computeSummaries(const Module &M);
-  StmtEffects computeStmt(const Stmt &S);
+  /// Fills \p S's Cache entry in place (children first) and returns it.
+  const StmtEffects &computeStmt(const Stmt &S);
   const StmtEffects &effects(const Stmt &S) const;
 
   const PointsToAnalysis &PT;
+  /// Node-based, so an entry's reference survives the inserts its
+  /// children's computeStmt makes while it is being filled.
   std::unordered_map<const Stmt *, StmtEffects> Cache;
   std::unordered_map<const Function *, WordSet> SummaryReads;
   std::unordered_map<const Function *, WordSet> SummaryWrites;

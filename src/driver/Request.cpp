@@ -96,9 +96,6 @@ std::string CompileRequest::keyBytes() const {
   return W.take();
 }
 
-uint64_t CompileRequest::key() const { return hashKeyBytes(keyBytes()); }
-std::string CompileRequest::keyHex() const { return keyBytesToHex(key()); }
-
 std::string RunRequest::keyBytes() const {
   KeyWriter W("earthcc-run-v5"); // v5: the fixed calibration dropped
   W.text("entry", Entry);

@@ -106,8 +106,6 @@ struct CompileRequest : PipelineOptions {
   /// Equal bytes <=> semantically identical compile. This is the cache key
   /// the CompileService content-addresses artifacts by.
   std::string keyBytes() const;
-  uint64_t key() const;      ///< FNV-1a 64 of keyBytes().
-  std::string keyHex() const; ///< key() as 16 lowercase hex digits.
 };
 
 /// Everything that determines one simulated execution of a compiled

@@ -235,6 +235,14 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
     SC.Metrics = &MetricsRegistry::global();
   CompileService Service(SC);
   ResponseWriter Writer(Out);
+  // A tied input stream flushes its tie before each read, and that flush
+  // would write Out outside the writer's lock while workers write it.
+  // Untie In for the loop; the tie comes back on every exit.
+  struct TieRestore {
+    std::istream &In;
+    std::ostream *Tie;
+    ~TieRestore() { In.tie(Tie); }
+  } Untied{In, In.tie(nullptr)};
   size_t Handled = 0;
   std::string Line;
 

@@ -53,7 +53,9 @@ struct ServeOptions {
 /// Runs the serve loop: reads request lines from \p In until EOF or a
 /// "shutdown" op, writes response lines to \p Out (flushed per line).
 /// Returns the number of requests handled (excluding malformed lines,
-/// which still get an error response).
+/// which still get an error response). \p In is untied from any output
+/// stream while the loop runs, so reading it never flushes \p Out behind
+/// the response writer's back; its tie is restored on return.
 size_t runServeLoop(std::istream &In, std::ostream &Out,
                     const ServeOptions &Opts);
 

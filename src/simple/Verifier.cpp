@@ -7,8 +7,8 @@
 #include "simple/Verifier.h"
 
 #include "simple/Printer.h"
+#include "support/FlatSet.h"
 
-#include <set>
 #include <sstream>
 
 using namespace earthcc;
@@ -43,11 +43,11 @@ private:
   }
 
   void checkLabelsUnique() {
-    std::set<int> Seen;
+    FlatSet<int> Seen;
     forEachStmt(F.body(), [&](const Stmt &S) {
       if (S.label() == 0)
         return;
-      if (!Seen.insert(S.label()).second)
+      if (!Seen.insert(S.label()))
         error(S, "duplicate statement label");
     });
   }
@@ -224,7 +224,7 @@ private:
   const Module &M;
   const Function &F;
   std::vector<std::string> &Errors;
-  std::set<const Var *> Owned;
+  FlatSet<const Var *> Owned;
 };
 
 } // namespace

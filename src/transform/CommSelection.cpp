@@ -15,6 +15,7 @@
 #include <cassert>
 #include <deque>
 #include <iterator>
+#include <set>
 
 using namespace earthcc;
 

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <map>
 #include <sstream>
@@ -547,6 +548,49 @@ TEST(ServeProtocolTest, IntegersCrossExactly) {
     EXPECT_NE(Line.find("\"exit\":9007199254740993"), std::string::npos)
         << Line;
   EXPECT_EQ(Answers, 2u) << Out.str();
+}
+
+/// A string buffer that counts its sync() calls: one per flush of a stream
+/// writing to it.
+class SyncCountingBuf : public std::stringbuf {
+public:
+  unsigned Syncs = 0;
+
+protected:
+  int sync() override {
+    ++Syncs;
+    return std::stringbuf::sync();
+  }
+};
+
+TEST(ServeProtocolTest, ReadingRequestsNeverFlushesTheAnswers) {
+  // The request stream is tied to the answer stream, as std::cin is to
+  // std::cout. A tied stream flushes its tie before every read, and from
+  // the serve thread that flush would write the answers outside the
+  // writer's lock. The loop unties its input, so the only flushes are the
+  // writer's own, one per answer line, and the tie is back on return.
+  MetricsRegistry Reg;
+  ServeOptions Opts;
+  Opts.Service.Workers = 2;
+  Opts.Service.Metrics = &Reg;
+  SyncCountingBuf Buf;
+  std::ostream Out(&Buf);
+  std::istringstream In(
+      R"({"id":1,"op":"ping"})"
+      "\n\n"
+      R"({"id":2,"op":"compile","source":"int main() { return 1; }"})"
+      "\n"
+      "not json\n"
+      R"({"id":3,"op":"run","source":"int main() { return 2; }"})"
+      "\n"
+      R"({"id":4,"op":"shutdown"})"
+      "\n");
+  In.tie(&Out);
+  EXPECT_EQ(runServeLoop(In, Out, Opts), 4u);
+  EXPECT_EQ(In.tie(), &Out);
+  const std::string Text = Buf.str();
+  EXPECT_EQ(std::count(Text.begin(), Text.end(), '\n'), 5) << Text;
+  EXPECT_EQ(Buf.Syncs, 5u) << Text;
 }
 
 TEST(ServiceShutdownTest, DestructionDrainsPendingRequests) {

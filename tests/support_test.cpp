@@ -6,6 +6,7 @@
 
 #include "support/CommProfiler.h"
 #include "support/Diagnostics.h"
+#include "support/FlatSet.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
@@ -15,6 +16,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -425,4 +429,173 @@ TEST(ThreadPoolTest, ParallelForStopsClaimingAfterFailure) {
   // (plus a tiny claim-race window) complete. The bound is deliberately
   // loose — it separates "stopped promptly" from "ran everything".
   EXPECT_LT(Executed.load(), 500u);
+}
+
+//===----------------------------------------------------------------------===//
+// FlatSet / FlatMap and the FlatIndex behind them.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every key hashes alike: each lookup walks one probe run.
+struct OneHash {
+  size_t operator()(int) const { return 42; }
+};
+
+constexpr int PastLinear = static_cast<int>(FlatIndex<int>::LinearMax);
+
+} // namespace
+
+TEST(FlatSetTest, IteratesInFirstInsertionOrder) {
+  FlatSet<int> S;
+  EXPECT_TRUE(S.empty());
+  for (int V : {5, 3, 9, 3, 5, 1})
+    S.insert(V);
+  EXPECT_EQ(std::vector<int>(S.begin(), S.end()),
+            (std::vector<int>{5, 3, 9, 1}));
+  EXPECT_FALSE(S.insert(9));
+  EXPECT_TRUE(S.insert(7));
+  EXPECT_EQ(S.size(), 5u);
+  EXPECT_TRUE(S.contains(1));
+  EXPECT_EQ(S.count(7), 1u);
+  EXPECT_EQ(S.count(2), 0u);
+}
+
+template <typename Hash> static void checkGrowth() {
+  // Insert far past the linear threshold (several table doublings); after
+  // every insert each earlier key is found, duplicates are refused, the
+  // next key is absent and the order is the insertion order.
+  FlatSet<int, Hash> S;
+  std::vector<int> Order;
+  for (int I = 0; I != 40 * PastLinear; ++I) {
+    int V = (I * 37) % 1009;
+    ASSERT_FALSE(S.contains(V));
+    ASSERT_TRUE(S.insert(V));
+    ASSERT_FALSE(S.insert(V));
+    Order.push_back(V);
+    for (int W : Order)
+      ASSERT_TRUE(S.contains(W)) << W << " after " << Order.size();
+  }
+  EXPECT_EQ(std::vector<int>(S.begin(), S.end()), Order);
+  EXPECT_FALSE(S.contains(1009));
+  FlatSet<int, Hash> Copy = S; // Positions stay valid in a copy.
+  for (int W : Order)
+    EXPECT_TRUE(Copy.contains(W));
+  FlatSet<int, Hash> Moved = std::move(Copy);
+  EXPECT_EQ(Moved.size(), Order.size());
+  EXPECT_TRUE(Moved.contains(Order.back()));
+}
+
+TEST(FlatSetTest, CrossesTheLinearThresholdAndRehashes) {
+  checkGrowth<std::hash<int>>();
+}
+
+TEST(FlatSetTest, OneHashValueForEveryKey) { checkGrowth<OneHash>(); }
+
+TEST(FlatMapTest, EraseLeavesOtherEntriesAndAllowsReinsert) {
+  for (int N : {PastLinear / 2, 4 * PastLinear}) {
+    FlatMap<int, int> M;
+    for (int K = 0; K != N; ++K)
+      M[K] = 10 * K;
+    EXPECT_TRUE(M.erase(1));
+    EXPECT_FALSE(M.erase(1));
+    EXPECT_FALSE(M.erase(N));
+    EXPECT_EQ(M.size(), size_t(N - 1));
+    EXPECT_EQ(M.find(1), nullptr);
+    for (int K = 0; K != N; ++K)
+      if (K != 1) {
+        ASSERT_NE(M.find(K), nullptr) << K;
+        EXPECT_EQ(*M.find(K), 10 * K);
+      }
+    M[1] = 7;
+    EXPECT_EQ(*M.find(1), 7);
+    EXPECT_EQ(M.size(), size_t(N));
+  }
+}
+
+TEST(FlatMapTest, EraseIfCompactsAndKeepsTheSurvivors) {
+  for (int N : {PastLinear, 6 * PastLinear}) {
+    FlatMap<int, int, OneHash> M;
+    for (int K = 0; K != N; ++K)
+      M[K] = K + 100;
+    // Three of every four go: compaction runs, and the index is rebuilt
+    // over the moved survivors.
+    M.eraseIf([](int K, int) { return K % 4 != 0; });
+    EXPECT_EQ(M.size(), size_t((N + 3) / 4));
+    for (int K = 0; K != N; ++K) {
+      const int *V = M.find(K);
+      if (K % 4 != 0) {
+        EXPECT_EQ(V, nullptr) << K;
+        continue;
+      }
+      ASSERT_NE(V, nullptr) << K;
+      EXPECT_EQ(*V, K + 100);
+    }
+    M.eraseIf([](int, int) { return true; });
+    EXPECT_TRUE(M.empty());
+    M[3] = 4;
+    EXPECT_EQ(*M.find(3), 4);
+  }
+}
+
+TEST(FlatMapTest, FoundPointersStayValidUntilEraseIf) {
+  // No new keys are inserted, so point erases (tombstones) must not move
+  // the other values; only eraseIf may compact them away.
+  FlatMap<int, int> M;
+  const int N = 5 * PastLinear;
+  for (int K = 0; K != N; ++K)
+    M[K] = K;
+  std::vector<int *> Found;
+  for (int K = 0; K != N; ++K)
+    Found.push_back(M.find(K));
+  for (int K = 0; K < N; K += 3)
+    M.erase(K);
+  M[2] = -2; // An existing key: no insertion.
+  for (int K = 0; K != N; ++K) {
+    if (K % 3 != 0) {
+      EXPECT_EQ(M.find(K), Found[K]) << K;
+    }
+  }
+  EXPECT_EQ(*Found[2], -2);
+}
+
+TEST(FlatMapTest, MatchesAStdMapUnderRandomOperations) {
+  std::mt19937 Rng(1);
+  FlatMap<int, int> M;
+  FlatMap<int, int, OneHash> C;
+  std::map<int, int> Model;
+  for (int Step = 0; Step != 4000; ++Step) {
+    int K = static_cast<int>(Rng() % 64);
+    switch (Rng() % 8) {
+    case 0:
+      EXPECT_EQ(M.erase(K), Model.erase(K) != 0);
+      C.erase(K);
+      break;
+    case 1: {
+      int Mod = static_cast<int>(Rng() % 5) + 2;
+      auto Pred = [Mod](int Key, int) { return Key % Mod == 0; };
+      M.eraseIf(Pred);
+      C.eraseIf(Pred);
+      for (auto It = Model.begin(); It != Model.end();)
+        It = It->first % Mod == 0 ? Model.erase(It) : std::next(It);
+      break;
+    }
+    default:
+      M[K] = Step;
+      C[K] = Step;
+      Model[K] = Step;
+    }
+    ASSERT_EQ(M.size(), Model.size());
+    ASSERT_EQ(C.size(), Model.size());
+    for (int Q = 0; Q != 64; ++Q) {
+      auto It = Model.find(Q);
+      const int *V = M.find(Q), *W = C.find(Q);
+      ASSERT_EQ(V != nullptr, It != Model.end()) << Q << " at " << Step;
+      ASSERT_EQ(W != nullptr, It != Model.end()) << Q << " at " << Step;
+      if (V) {
+        ASSERT_EQ(*V, It->second);
+        ASSERT_EQ(*W, It->second);
+      }
+    }
+  }
 }
