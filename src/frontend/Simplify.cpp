@@ -1041,6 +1041,7 @@ private:
   /// Lowers while/do-while/for loops. Conditions with side statements are
   /// computed into a temp before the loop and recomputed at the body end:
   ///   tc = <cond>; while (tc) { body; step; tc = <cond>; }
+  /// (a do-while computes it at the body end only).
   void lowerLoop(const ast::Stmt &S, const ast::Stmt *InitS,
                  const ast::Stmt *StepS, bool IsDoWhile) {
     Scopes.emplace_back();
@@ -1072,17 +1073,21 @@ private:
       return;
     }
 
-    // Complex condition: evaluate into a temp.
+    // Complex condition: evaluate into a temp. The trial's statements are
+    // the first evaluation, so none of its temps is left unused; a while
+    // loop lowers the condition again for the body end.
     Var *CondVar = F->addTemp(M->types().intTy());
-    auto emitCondInto = [&](SeqStmt *Target) {
-      SeqStack.push_back(Target);
-      auto CondRV = lowerCondRV(*S.Cond);
+    auto assignCond = [&](std::unique_ptr<RValue> CondRV) {
       emit<AssignStmt>(LValue::makeVar(CondVar), std::move(CondRV))
           ->setLoc(S.Cond->Loc);
-      SeqStack.pop_back();
+    };
+    auto emitTrial = [&] {
+      for (auto &Side : Scratch->Stmts)
+        seq().push(std::move(Side));
+      assignCond(std::move(TrialCond));
     };
     if (!IsDoWhile)
-      emitCondInto(&seq());
+      emitTrial();
     auto While = std::make_unique<WhileStmt>(
         std::make_unique<OpndRV>(Operand::var(CondVar)),
         std::make_unique<SeqStmt>(), IsDoWhile);
@@ -1093,8 +1098,11 @@ private:
     lowerStmtInto(*S.LoopBody);
     if (StepS)
       lowerStmtInto(*StepS);
+    if (IsDoWhile)
+      emitTrial();
+    else
+      assignCond(lowerCondRV(*S.Cond));
     SeqStack.pop_back();
-    emitCondInto(W->Body.get());
     Scopes.pop_back();
   }
 
