@@ -754,10 +754,16 @@ private:
 /// Records the placement tuple-set sizes — the quantity the paper's
 /// Figures 5-7 reason about.
 static void addPlacementStats(const PlacementResult &PR, Statistics &Stats) {
-  for (const auto &[S, Tuples] : PR.BeforeReads)
-    Stats.add("placement.read_tuples", Tuples ? Tuples->size() : 0);
-  for (const auto &[S, Tuples] : PR.AfterWrites)
-    Stats.add("placement.write_tuples", Tuples ? Tuples->size() : 0);
+  auto addTotal = [&Stats](const char *Key, const PlacementResult::SetMap &M) {
+    if (M.empty())
+      return;
+    uint64_t Total = 0;
+    for (const auto &[S, Tuples] : M)
+      Total += Tuples ? Tuples->size() : 0;
+    Stats.add(Key, Total);
+  };
+  addTotal("placement.read_tuples", PR.BeforeReads);
+  addTotal("placement.write_tuples", PR.AfterWrites);
 }
 
 /// Runs \p Fn over [0, N) with the LowerThreads fan-out convention: 1 =
