@@ -89,26 +89,17 @@ public:
   /// the owner must fill next (At(N) is not called here).
   template <typename KeyAt>
   size_t findOrAdd(const K &Key, size_t N, const KeyAt &At) {
-    assert(N < UINT32_MAX && "FlatIndex positions are 32-bit");
-    if (Slots.empty() && N < LinearMax) {
-      size_t I = find(Key, N, At);
-      if (I == N) {
-        Linear |= uint32_t(1) << N;
-        ++Count;
-      }
+    if (size_t I = find(Key, N, At); I != N)
       return I;
-    }
-    if (Slots.empty() || 2 * (Count + 1) > Slots.size()) {
-      if (size_t I = find(Key, N, At); I != N)
-        return I;
-      grow(At);
-    }
-    size_t S = home(Key);
-    for (; Slots[S] != 0; S = next(S))
-      if (At(Slots[S] - 1) == Key)
-        return Slots[S] - 1;
-    Slots[S] = static_cast<uint32_t>(N + 1);
+    assert(N < UINT32_MAX && "FlatIndex positions are 32-bit");
     ++Count;
+    if (Slots.empty() && N < LinearMax) {
+      Linear |= uint32_t(1) << N;
+      return N;
+    }
+    if (2 * Count > Slots.size())
+      grow(At);
+    place(N, Key);
     return N;
   }
 
@@ -158,28 +149,32 @@ private:
         (static_cast<uint64_t>(Hash()(Key)) * 0x9E3779B97F4A7C15ull) >> Shift);
   }
 
-  /// Moves every indexed position into a table with room for one more.
+  /// Puts position \p I, whose key is \p Key, in the first empty slot of
+  /// its probe run.
+  void place(size_t I, const K &Key) {
+    size_t S = home(Key);
+    while (Slots[S] != 0)
+      S = next(S);
+    Slots[S] = static_cast<uint32_t>(I + 1);
+  }
+
+  /// Moves every indexed position into a table at most half full for Count
+  /// positions.
   template <typename KeyAt> void grow(const KeyAt &At) {
     size_t Size = 4 * LinearMax;
-    while (Size < 2 * (Count + 1))
+    while (Size < 2 * Count)
       Size *= 2;
     std::vector<uint32_t> Old = std::move(Slots);
     Slots.assign(Size, 0);
     Shift = 64;
     for (size_t S = Size; S > 1; S /= 2)
       --Shift;
-    auto place = [&](size_t I) {
-      size_t S = home(At(I));
-      while (Slots[S] != 0)
-        S = next(S);
-      Slots[S] = static_cast<uint32_t>(I + 1);
-    };
     for (uint32_t P : Old)
       if (P != 0)
-        place(P - 1);
+        place(P - 1, At(P - 1));
     for (size_t I = 0; I != LinearMax; ++I)
       if (Linear >> I & 1)
-        place(I);
+        place(I, At(I));
     Linear = 0;
   }
 
